@@ -9,7 +9,7 @@
 # "current" numbers against the committed BENCH_*.json baselines the way
 # benchstat compares runs — several repetitions, interleaved, on an idle
 # machine — before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-graph bench-routing bench-flit bench-paths bench-serve fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check
+.PHONY: check build test bench bench-graph bench-routing bench-flit bench-paths bench-serve fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check flake
 
 check: fmt lint
 	go vet ./...
@@ -107,6 +107,16 @@ serve-smoke:
 # gate to run after touching the server's limits or shedding paths.
 chaos-smoke:
 	go test -count=1 -run Chaos -v ./internal/serve/chaos
+
+# Repeat the timing-sensitive tests N times: the serving layer's
+# sockets, deadlines, shedding and shutdown, the Go client's context
+# handling and the chaos swarms all live under ./internal/serve/...
+# (no other package's tests depend on wall-clock timing). Outside check
+# because 20 repetitions take minutes; run it after touching the daemon,
+# its client or the chaos harness. Every run must pass.
+N ?= 20
+flake:
+	go test -count=$(N) ./internal/serve/...
 
 # Relative links in README.md and docs/*.md must point at real files.
 docs-check:

@@ -268,7 +268,7 @@ func ServeBench(cfg ServeBenchConfig) (*ServeBenchResult, error) {
 	res.LookupsPerSec = float64(res.Lookups) / res.Seconds
 
 	// Phase 1b: the same batched traffic over binary protocol v2 — the
-	// identical pair streams, so the delta is pure codec + fast path.
+	// identical pair streams, so the delta is purely the codec.
 	res.BinaryLookups, res.BinarySeconds, err = batchedPhase(ctx, sock, cfg, topo.Key, topo.Switches, cfg.Clients, true)
 	if err != nil {
 		return nil, err

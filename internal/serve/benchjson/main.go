@@ -21,6 +21,7 @@ type report struct {
 	GOOS       string                `json:"goos"`
 	GOARCH     string                `json:"goarch"`
 	GOMAXPROCS int                   `json:"gomaxprocs"`
+	NumCPU     int                   `json:"num_cpu"`
 	Bench      *exp.ServeBenchResult `json:"serve_bench"`
 }
 
@@ -64,6 +65,7 @@ func main() {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 		Bench:      res,
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")

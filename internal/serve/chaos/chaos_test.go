@@ -177,3 +177,40 @@ func TestChaosDroppedConn(t *testing.T) {
 		t.Fatalf("daemon unhealthy after dropped conn: %+v, %v", h, err)
 	}
 }
+
+// TestCrashInjectorRetriesShed pins the injector's retry contract
+// deterministically: with the one in-flight slot held, its first
+// test-crash is shed as overloaded; it backs off and resends on the same
+// connection until the slot frees and the crash lands.
+func TestCrashInjectorRetriesShed(t *testing.T) {
+	srv, sock := startServer(t, serve.Options{MaxInFlight: 1, EnableTestOps: true})
+	slow, err := client.Dial(bg, "unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := slow.Do(bg, serve.Request{Op: serve.OpTestSleep, SleepMS: 150})
+		slowDone <- err
+	}()
+	for srv.InFlight() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(bg, 10*time.Second)
+	defer cancel()
+	inj := &chaos.CrashInjector{Crashes: 1}
+	if err := inj.Run(ctx, "unix", sock); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-slowDone; err != nil {
+		t.Fatalf("slow request: %v", err)
+	}
+	if inj.Shed < 1 || inj.CrashesAcked != 1 {
+		t.Fatalf("injector shed %d, acked %d; want shed >= 1, acked 1", inj.Shed, inj.CrashesAcked)
+	}
+	if got := srv.Counters().Panics; got != 1 {
+		t.Fatalf("server panics %d, want 1", got)
+	}
+}

@@ -252,7 +252,10 @@ func (d *DeadlineExceeder) Run(ctx context.Context, network, addr string) error 
 
 // CrashInjector sends the test-crash op (server must run with
 // EnableTestOps), expecting an internal-error frame followed by a
-// connection close each time — panic isolation in action.
+// connection close each time — panic isolation in action. An overloaded
+// answer means the server shed the request without running it
+// (docs/SERVICE.md "Retrying"), so the injector backs off and resends on
+// the same connection until the crash lands or the context ends.
 type CrashInjector struct {
 	// Crashes is how many panics to inject (default 1).
 	Crashes int
@@ -260,6 +263,8 @@ type CrashInjector struct {
 	// CrashesAcked counts internal-error responses received; reconcile
 	// against the health op's panics counter.
 	CrashesAcked int
+	// Shed counts overloaded answers that were backed off and resent.
+	Shed int
 }
 
 func (c *CrashInjector) Name() string { return "crash-injector" }
@@ -270,39 +275,69 @@ func (c *CrashInjector) Run(ctx context.Context, network, addr string) error {
 		crashes = 1
 	}
 	for i := 0; i < crashes; i++ {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		conn, err := dialCtx(ctx, network, addr)
-		if err != nil {
+		if err := c.crashOnce(ctx, network, addr, i); err != nil {
 			return err
 		}
-		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 64<<10), serve.MaxFrameBytes)
+	}
+	return nil
+}
+
+// crashOnce injects one panic on a fresh connection.
+func (c *CrashInjector) crashOnce(ctx context.Context, network, addr string, i int) error {
+	if ctx.Err() != nil {
+		return ctx.Err()
+	}
+	conn, err := dialCtx(ctx, network, addr)
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	sc := bufio.NewScanner(conn)
+	sc.Buffer(make([]byte, 64<<10), serve.MaxFrameBytes)
+	for attempt := 0; ; attempt++ {
 		if _, err := fmt.Fprintf(conn, `{"v":1,"id":"crash%d","op":"test-crash"}`+"\n", i); err != nil {
-			conn.Close()
 			return fmt.Errorf("crash-injector: write: %w", err)
 		}
 		if !sc.Scan() {
-			conn.Close()
 			return fmt.Errorf("crash-injector: no response: %v", sc.Err())
 		}
 		var resp serve.Response
 		if err := json.Unmarshal(sc.Bytes(), &resp); err != nil {
-			conn.Close()
 			return err
 		}
+		if resp.Error != nil && resp.Error.Code == serve.CodeOverloaded {
+			c.Shed++
+			if err := backoff(ctx, attempt); err != nil {
+				return fmt.Errorf("crash-injector: still shed when the context ended: %w", err)
+			}
+			continue
+		}
 		if resp.OK || resp.Error == nil || resp.Error.Code != serve.CodeInternal {
-			conn.Close()
 			return fmt.Errorf("crash-injector: got %q, want %s", sc.Bytes(), serve.CodeInternal)
 		}
-		c.CrashesAcked++
-		// The server must poison exactly this connection.
-		if sc.Scan() {
-			conn.Close()
-			return fmt.Errorf("crash-injector: connection survived a panic: %q", sc.Bytes())
-		}
-		conn.Close()
+		break
+	}
+	c.CrashesAcked++
+	// The server must poison exactly this connection.
+	if sc.Scan() {
+		return fmt.Errorf("crash-injector: connection survived a panic: %q", sc.Bytes())
 	}
 	return nil
+}
+
+// backoff sleeps before resending a shed request: 5ms doubling per
+// attempt, capped at 80ms, cut short by the context.
+func backoff(ctx context.Context, attempt int) error {
+	d := 80 * time.Millisecond
+	if attempt < 4 {
+		d = 5 * time.Millisecond << attempt
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

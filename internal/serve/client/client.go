@@ -168,21 +168,23 @@ func New(conn net.Conn) *Client {
 // send the preamble, require its echo. A JSON byte in place of the echo
 // is the server's connection-limit refusal frame (the only thing a
 // server ever says before reading the preamble) and is surfaced as its
-// RemoteError.
+// RemoteError. The refusal is read even when sending the preamble
+// failed: the server closes a refused connection right after writing
+// the frame, so the send can hit the closed socket while the frame
+// already waits in the receive buffer.
 func (c *Client) handshakeLocked(ctx context.Context) error {
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
-	if _, err := c.w.Write(serve.BinaryPreamble[:]); err != nil {
-		c.failLocked()
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		c.failLocked()
-		return err
+	_, werr := c.w.Write(serve.BinaryPreamble[:])
+	if werr == nil {
+		werr = c.w.Flush()
 	}
 	first, err := c.br.Peek(1)
 	if err != nil {
 		c.failLocked()
+		if werr != nil {
+			return werr
+		}
 		return fmt.Errorf("jfserve: binary handshake: %w", err)
 	}
 	if first[0] != serve.BinaryPreamble[0] {
@@ -193,6 +195,10 @@ func (c *Client) handshakeLocked(ctx context.Context) error {
 			return &RemoteError{Code: resp.Error.Code, Message: resp.Error.Message}
 		}
 		return fmt.Errorf("jfserve: binary handshake: unexpected byte %#02x in place of the preamble echo", first[0])
+	}
+	if werr != nil {
+		c.failLocked()
+		return werr
 	}
 	var echo [5]byte
 	if _, err := io.ReadFull(c.br, echo[:]); err != nil {
@@ -358,28 +364,46 @@ func (c *Client) failLocked() {
 var errEncode = errors.New("jfserve: request not encodable in the binary protocol")
 
 // armCtxLocked maps the context onto the connection: the deadline
-// directly, and cancellation by expiring the deadline from a watcher
-// goroutine. The returned function disarms the watcher.
+// directly, and cancellation by expiring the deadline from a
+// context.AfterFunc watcher. The returned function disarms the watcher;
+// if the watcher has already started, disarming waits for it to finish,
+// so a late cancellation can never expire the next call's deadline.
 func (c *Client) armCtxLocked(ctx context.Context) func() {
 	if d, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(d)
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
-	done := ctx.Done()
-	if done == nil {
+	if ctx.Done() == nil {
 		return func() {}
 	}
-	stop := make(chan struct{})
 	conn := c.conn
-	go func() {
-		select {
-		case <-done:
-			conn.SetDeadline(time.Unix(1, 0))
-		case <-stop:
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		conn.SetDeadline(time.Unix(1, 0))
+		close(fired)
+	})
+	return func() {
+		if !stop() {
+			<-fired
 		}
-	}()
-	return func() { close(stop) }
+	}
+}
+
+// ctxErr maps an I/O failure under ctx onto the context's error once
+// the context is done. A net timeout after ctx's deadline has passed is
+// context.DeadlineExceeded even while ctx.Err() is still nil: the
+// connection deadline is ctx's own deadline and can fire before ctx's
+// timer marks it done.
+func ctxErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	var ne net.Error
+	if d, ok := ctx.Deadline(); ok && errors.As(err, &ne) && ne.Timeout() && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return err
 }
 
 // writeReqLocked encodes and flushes one request frame in the client's
@@ -464,24 +488,18 @@ func (c *Client) doLocked(ctx context.Context, req serve.Request) (serve.Respons
 
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
 
 	if err := c.writeReqLocked(&req); err != nil {
 		if errors.Is(err, errEncode) {
 			return serve.Response{}, err
 		}
 		c.failLocked()
-		return serve.Response{}, ctxErr(err)
+		return serve.Response{}, ctxErr(ctx, err)
 	}
 	resp, err := c.readRespLocked()
 	if err != nil {
 		c.failLocked()
-		return serve.Response{}, ctxErr(err)
+		return serve.Response{}, ctxErr(ctx, err)
 	}
 	if resp.ID != req.ID {
 		c.failLocked()
@@ -584,17 +602,11 @@ func (c *Client) sweepOnceLocked(ctx context.Context, topo string, p serve.Sweep
 
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		return err
-	}
 	for next := 0; ; {
 		frame, rerr := c.readRespLocked()
 		if rerr != nil {
 			c.failLocked()
-			return start, done, true, ctxErr(rerr)
+			return start, done, true, ctxErr(ctx, rerr)
 		}
 		if frame.ID != id {
 			c.failLocked()

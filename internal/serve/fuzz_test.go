@@ -138,8 +138,9 @@ func batchSeeds(t interface{ Fatal(...any) }) [][]byte {
 }
 
 // FuzzBinaryBatch aims the mutator at the routes-batch payload — the
-// fast-path op with its own in-place server decoder — via raw payloads
-// (no frame prefix).
+// highest-volume op — via raw payloads (no frame prefix). The server
+// decodes every binary frame, batches included, with
+// DecodeBinaryRequest, so this fuzzes the decoder that serves them.
 func FuzzBinaryBatch(f *testing.F) {
 	for _, s := range batchSeeds(f) {
 		f.Add(s)

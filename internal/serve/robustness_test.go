@@ -116,6 +116,34 @@ func TestClientContextCancel(t *testing.T) {
 	}
 }
 
+// TestClientCancelAfterReturn races each call's cancellation against
+// the call's own return, then makes the next call on the same client at
+// once: a cancellation that lands as its call finishes must not expire
+// the next call's connection deadline.
+func TestClientCancelAfterReturn(t *testing.T) {
+	for _, bin := range []bool{false, true} {
+		dialf := client.Dial
+		if bin {
+			dialf = client.DialBinary
+		}
+		c, err := dialf(bg, "unix", testSock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for i := 0; i < 500; i++ {
+			ctx, cancel := context.WithCancel(bg)
+			go cancel()
+			if _, err := c.Health(ctx); err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("binary=%v call %d under its own ctx: %v", bin, i, err)
+			}
+			if _, err := c.Health(bg); err != nil {
+				t.Fatalf("binary=%v call after cancelling call %d's ctx: %v", bin, i, err)
+			}
+		}
+	}
+}
+
 // TestClientRedialAfterPoison verifies the client transparently redials
 // after the server poisons a connection (internal-error closes it).
 func TestClientRedialAfterPoison(t *testing.T) {
@@ -373,16 +401,22 @@ func TestShutdownUnderLoad(t *testing.T) {
 	served := 0
 	firstOnce := sync.Once{}
 	first := make(chan struct{})
-	for i := 0; i < clients; i++ {
+	// Every client dials before any of them sends: the first served
+	// response triggers Stop, which unlinks load.sock, so a client still
+	// dialing after it would find no socket.
+	conns := make([]*client.Client, clients)
+	for i := range conns {
+		c, err := client.Dial(bg, "unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		conns[i] = c
+	}
+	for _, c := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := client.Dial(bg, "unix", sock)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
 			for {
 				st, err := c.Stats(bg)
 				if err != nil {

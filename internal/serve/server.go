@@ -382,22 +382,6 @@ func (cw *connWriter) write(resp *Response) error {
 	return cw.finishLocked(err)
 }
 
-// writeRaw flushes one pre-encoded binary response payload. The
-// payload's buffer becomes the writer's scratch afterwards, so a fast
-// path that built it out of takeScratch keeps reusing one allocation.
-func (cw *connWriter) writeRaw(payload []byte) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	cw.scratch = payload[:0]
-	if cw.dead {
-		return errConnDead
-	}
-	if cw.s.opts.WriteTimeout > 0 {
-		cw.conn.SetWriteDeadline(time.Now().Add(cw.s.opts.WriteTimeout))
-	}
-	return cw.finishLocked(cw.writeFrameLocked(payload))
-}
-
 func (cw *connWriter) writeFrameLocked(payload []byte) error {
 	var hdr [4]byte
 	le.PutUint32(hdr[:], uint32(len(payload)))
@@ -440,21 +424,9 @@ func (cw *connWriter) failed() bool {
 	return cw.dead
 }
 
-// writeResult writes one op result (pre-encoded fast-path bytes or a
-// Response) in the connection's codec.
-func (cw *connWriter) writeResult(res *opResult) error {
-	if res.raw != nil {
-		return cw.writeRaw(res.raw)
-	}
-	return cw.write(&res.resp)
-}
-
 // opResult is the outcome of one admitted request.
 type opResult struct {
 	resp Response
-	// raw is a pre-encoded binary response payload (the routes-batch
-	// fast path); when set, resp is ignored.
-	raw []byte
 	// poison closes the connection after the response is written (the
 	// handler panicked).
 	poison bool
@@ -490,9 +462,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 	first, err := br.Peek(1)
 	if err != nil {
-		if isTimeout(err) && !s.stopping() {
-			s.counters.IOTimeouts.Add(1)
-		}
+		s.noteReadErr(err)
 		return
 	}
 	if first[0] == BinaryPreamble[0] {
@@ -502,7 +472,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.serveJSON(conn, br, cw)
 }
 
-// serveJSON runs the newline-delimited JSON v1 loop.
+// serveJSON reads newline-delimited JSON v1 frames into the shared
+// request loop.
 func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 	sc := bufio.NewScanner(br)
 	sc.Buffer(make([]byte, 64<<10), MaxFrameBytes)
@@ -511,51 +482,31 @@ func (s *Server) serveJSON(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 	// arrived, not that a truncated one did — parsing the fragment would
 	// answer bad-json to a peer that sent no complete request.
 	sc.Split(scanCompleteLines)
-	for {
-		select {
-		case <-s.quit:
-			return
-		default:
+	s.serveLoop(conn, cw, decodeJSON, func() ([]byte, error) {
+		if sc.Scan() {
+			return sc.Bytes(), nil
 		}
-		if s.opts.ReadTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
+		err := sc.Err()
+		if errors.Is(err, bufio.ErrTooLong) {
+			// The frame boundary is lost; report and drop the
+			// connection rather than misparse the stream.
+			cw.write(respOf(errResponse("", CodeFrameTooLarge,
+				fmt.Sprintf("request exceeds %d bytes", MaxFrameBytes))))
 		}
-		if !sc.Scan() {
-			err := sc.Err()
-			switch {
-			case errors.Is(err, bufio.ErrTooLong):
-				// The frame boundary is lost; report and drop the
-				// connection rather than misparse the stream.
-				cw.write(respOf(errResponse("", CodeFrameTooLarge,
-					fmt.Sprintf("request exceeds %d bytes", MaxFrameBytes))))
-			case isTimeout(err) && !s.stopping():
-				// The frame did not complete within ReadTimeout — an
-				// idle, stalled or slow-loris sender. Close silently:
-				// a mid-frame peer cannot re-sync on an error frame.
-				s.counters.IOTimeouts.Add(1)
-			}
-			return
+		if err == nil {
+			err = io.EOF
 		}
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		res := s.handleFrame(line, cw)
-		if !s.finishResult(cw, &res) {
-			return
-		}
-	}
+		return nil, err
+	})
 }
 
-// serveBinary validates the client preamble, echoes it, then runs the
-// length-prefixed binary v2 loop.
+// serveBinary validates the client preamble, echoes it, then reads
+// length-prefixed binary v2 frames into the shared request loop.
 func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 	cw.bin = true
 	var pre [5]byte
 	if _, err := io.ReadFull(br, pre[:]); err != nil {
-		if isTimeout(err) && !s.stopping() {
-			s.counters.IOTimeouts.Add(1)
-		}
+		s.noteReadErr(err)
 		return
 	}
 	if pre[1] != BinaryPreamble[1] || pre[2] != BinaryPreamble[2] || pre[3] != BinaryPreamble[3] {
@@ -571,7 +522,31 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 	if cw.writePreamble() != nil {
 		return
 	}
-	var frame []byte
+	var buf []byte
+	s.serveLoop(conn, cw, decodeBinary, func() ([]byte, error) {
+		payload, err := ReadFrame(br, &buf)
+		switch {
+		case errors.Is(err, ErrFrameTooLarge):
+			cw.write(respOf(errResponse("", CodeFrameTooLarge,
+				fmt.Sprintf("frame exceeds %d bytes", MaxFrameBytes))))
+		case errors.Is(err, errZeroFrame):
+			// A zero length prefix carries no request and leaves
+			// nothing to resync on; mirror the frame-boundary-lost
+			// policy and drop the connection.
+			cw.write(respOf(errResponse("", CodeBadRequest, "zero-length frame")))
+		}
+		return payload, err
+	})
+}
+
+// serveLoop is the request loop both codecs share: read one frame,
+// decode it, admit and dispatch the request, write the result in the
+// connection's codec. read returns an error when the connection must
+// close, having written any error frame that explains why itself;
+// decode returns the response answering a frame that does not decode,
+// and the connection stays open.
+func (s *Server) serveLoop(conn net.Conn, cw *connWriter,
+	decode func(frame []byte) (Request, *Response), read func() ([]byte, error)) {
 	for {
 		select {
 		case <-s.quit:
@@ -581,23 +556,26 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
-		payload, err := ReadFrame(br, &frame)
+		frame, err := read()
 		if err != nil {
-			switch {
-			case errors.Is(err, ErrFrameTooLarge):
-				cw.write(respOf(errResponse("", CodeFrameTooLarge,
-					fmt.Sprintf("frame exceeds %d bytes", MaxFrameBytes))))
-			case errors.Is(err, errZeroFrame):
-				// A zero length prefix carries no request and leaves
-				// nothing to resync on; mirror the frame-boundary-lost
-				// policy and drop the connection.
-				cw.write(respOf(errResponse("", CodeBadRequest, "zero-length frame")))
-			case isTimeout(err) && !s.stopping():
-				s.counters.IOTimeouts.Add(1)
-			}
+			// A frame that did not complete within ReadTimeout comes from
+			// an idle, stalled or slow-loris sender. Close silently: a
+			// mid-frame peer cannot re-sync on an error frame.
+			s.noteReadErr(err)
 			return
 		}
-		res := s.handleBinaryFrame(payload, cw)
+		if len(frame) == 0 {
+			continue // a blank JSON line carries no request
+		}
+		t0 := time.Now()
+		var res opResult
+		if req, bad := decode(frame); bad != nil {
+			res = result(*bad)
+		} else {
+			res = s.admit(req, cw)
+		}
+		s.requests.Add(1)
+		s.latency.Observe(time.Since(t0).Microseconds())
 		if !s.finishResult(cw, &res) {
 			return
 		}
@@ -607,7 +585,7 @@ func (s *Server) serveBinary(conn net.Conn, br *bufio.Reader, cw *connWriter) {
 // finishResult writes one result and runs its completion hook; false
 // means the connection must close.
 func (s *Server) finishResult(cw *connWriter, res *opResult) bool {
-	if err := cw.writeResult(res); err != nil {
+	if err := cw.write(&res.resp); err != nil {
 		if res.discard != nil {
 			res.discard()
 		}
@@ -638,6 +616,14 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
+// noteReadErr counts a read that ended on its deadline as an io
+// timeout, unless Stop's half-close is what cut it short.
+func (s *Server) noteReadErr(err error) {
+	if isTimeout(err) && !s.stopping() {
+		s.counters.IOTimeouts.Add(1)
+	}
+}
+
 // stopping reports whether Stop has begun.
 func (s *Server) stopping() bool {
 	select {
@@ -648,61 +634,35 @@ func (s *Server) stopping() bool {
 	return false
 }
 
-// respOf wraps a Response as an opResult (and as a *Response for
-// connWriter.write call sites).
+// respOf returns resp by pointer, for connWriter.write and the
+// decoders' error answers.
 func respOf(resp Response) *Response { return &resp }
 
+// result wraps a Response as an opResult.
 func result(resp Response) opResult { return opResult{resp: resp} }
 
-// handleFrame decodes, admits, dispatches and times one JSON request.
-func (s *Server) handleFrame(line []byte, cw *connWriter) opResult {
-	t0 := time.Now()
-	res := s.admitJSON(line, cw)
-	s.requests.Add(1)
-	s.latency.Observe(time.Since(t0).Microseconds())
-	return res
-}
-
-// handleBinaryFrame decodes, admits, dispatches and times one binary
-// request payload.
-func (s *Server) handleBinaryFrame(payload []byte, cw *connWriter) opResult {
-	t0 := time.Now()
-	res := s.admitBinary(payload, cw)
-	s.requests.Add(1)
-	s.latency.Observe(time.Since(t0).Microseconds())
-	return res
-}
-
-// admitJSON parses the JSON envelope and checks the version, then runs
-// the codec-independent admission path.
-func (s *Server) admitJSON(line []byte, cw *connWriter) opResult {
+// decodeJSON parses one JSON v1 line and checks its version.
+func decodeJSON(line []byte) (Request, *Response) {
 	var req Request
 	if err := json.Unmarshal(line, &req); err != nil {
-		return result(errResponse("", CodeBadJSON, err.Error()))
+		return req, respOf(errResponse("", CodeBadJSON, err.Error()))
 	}
 	if req.V != ProtocolVersion {
-		return result(errResponse(req.ID, CodeBadVersion,
+		return req, respOf(errResponse(req.ID, CodeBadVersion,
 			fmt.Sprintf("request version %d, server speaks %d", req.V, ProtocolVersion)))
 	}
-	return s.admit(req, cw)
+	return req, nil
 }
 
-// admitBinary decodes one binary payload and runs the same admission
-// path (the binary protocol's version was negotiated in the preamble,
-// so there is no per-request version check). A well-framed payload that
-// does not decode answers bad-request and the connection stays open.
-// Batched lookups with no handler timeout take an allocation-free fast
-// path instead of materializing a Request.
-func (s *Server) admitBinary(payload []byte, cw *connWriter) opResult {
-	if s.opts.HandlerTimeout <= 0 && len(payload) > 9 && payload[8] == binOpBatch {
-		return s.binaryBatch(payload, cw)
-	}
+// decodeBinary decodes one binary v2 payload. The protocol version was
+// negotiated in the preamble, so there is no per-request version check.
+func decodeBinary(payload []byte) (Request, *Response) {
 	id, req, err := DecodeBinaryRequest(payload)
 	if err != nil {
-		return result(errResponse(binFormatID(id), CodeBadRequest,
+		return req, respOf(errResponse(binFormatID(id), CodeBadRequest,
 			"malformed binary request: "+err.Error()))
 	}
-	return s.admit(req, cw)
+	return req, nil
 }
 
 // admit applies the resilience policy — health bypass, load shedding,
@@ -808,111 +768,6 @@ func (s *Server) dispatch(req Request, cw *connWriter) opResult {
 	return result(errResponse(req.ID, CodeUnknownOp, fmt.Sprintf("unknown op %q", req.Op)))
 }
 
-// binaryBatch is the binary routes-batch fast path: it routes straight
-// off the request payload and encodes the response in place, so a
-// batched lookup allocates nothing per pair. It mirrors the generic
-// path exactly — same admission order, same error codes, same response
-// bytes — which the differential suite pins.
-func (s *Server) binaryBatch(payload []byte, cw *connWriter) (res opResult) {
-	id := le.Uint64(payload)
-	fail := func(code, msg string) opResult {
-		return result(errResponse(binFormatID(id), code, msg))
-	}
-	// Layout after the id and opcode: u16 topo length, topo bytes,
-	// u32 pair count, count × (u32 src, u32 dst) — and nothing else.
-	p := payload[9:]
-	if len(p) < 6 {
-		return fail(CodeBadRequest, "malformed binary request: "+errTruncated.Error())
-	}
-	tlen := int(le.Uint16(p))
-	if tlen > maxBinaryString || len(p) < 2+tlen+4 {
-		return fail(CodeBadRequest, "malformed binary request: "+errTruncated.Error())
-	}
-	topo := p[2 : 2+tlen]
-	n := int(le.Uint32(p[2+tlen:]))
-	body := p[2+tlen+4:]
-	if 8*n != len(body) {
-		if 8*n > len(body) {
-			return fail(CodeBadRequest, "malformed binary request: "+errTruncated.Error())
-		}
-		return fail(CodeBadRequest, "malformed binary request: "+errTrailing.Error())
-	}
-	if c := s.perOp[OpRoutesBatch]; c != nil {
-		c.Add(1)
-	}
-	if s.inflight != nil {
-		select {
-		case s.inflight <- struct{}{}:
-		default:
-			s.counters.Shed.Add(1)
-			return fail(CodeOverloaded,
-				fmt.Sprintf("in-flight limit %d reached; retry with backoff", s.opts.MaxInFlight))
-		}
-	}
-	s.inflightNow.Add(1)
-	defer func() {
-		s.inflightNow.Add(-1)
-		if s.inflight != nil {
-			<-s.inflight
-		}
-		if r := recover(); r != nil {
-			s.counters.Panics.Add(1)
-			s.logf("jfserve: recovered panic in %s handler: %v\n%s", OpRoutesBatch, r, debug.Stack())
-			res = opResult{resp: errResponse(binFormatID(id), CodeInternal,
-				fmt.Sprintf("handler panicked: %v; closing this connection", r)), poison: true}
-		}
-	}()
-	if n == 0 {
-		return fail(CodeBadRequest, "routes-batch needs a non-empty pairs array")
-	}
-	if n > MaxBatchPairs {
-		return fail(CodeBatchTooLarge,
-			fmt.Sprintf("%d pairs exceed the %d-pair batch limit", n, MaxBatchPairs))
-	}
-	e, ok := s.entry(string(topo))
-	if !ok {
-		return fail(CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", topo))
-	}
-	out := append(cw.takeScratch(), payload[:8]...) // echo the id
-	out = append(out, binKindBatch)
-	routedOff := len(out)
-	out = appendU32(out, 0) // routed, patched below
-	out = appendU32(out, uint32(n))
-	routed := 0
-	for i := 0; i < n; i++ {
-		src := int32(le.Uint32(body[8*i:]))
-		dst := int32(le.Uint32(body[8*i+4:]))
-		r, code, err := s.routeOne(e, src, dst)
-		if err != nil {
-			out = append(out, 0)
-			out = appendU16(out, uint16(len(code)))
-			out = append(out, code...)
-			continue
-		}
-		out = append(out, 1)
-		out = appendU16(out, uint16(len(r.Path)))
-		for _, nd := range r.Path {
-			out = appendU32(out, uint32(nd))
-		}
-		out = appendU32(out, uint32(int32(r.Index)))
-		routed++
-	}
-	le.PutUint32(out[routedOff:], uint32(routed))
-	return opResult{raw: out}
-}
-
-// takeScratch hands the writer's scratch buffer (empty, capacity
-// retained) to the fast path; writeRaw puts the grown buffer back, so
-// steady-state batches reuse one allocation. Only the connection's
-// request loop calls this, and only for results it immediately writes.
-func (cw *connWriter) takeScratch() []byte {
-	cw.mu.Lock()
-	b := cw.scratch[:0]
-	cw.scratch = nil
-	cw.mu.Unlock()
-	return b
-}
-
 func (s *Server) handleHealth(req Request) Response {
 	s.connMu.Lock()
 	conns := len(s.conns)
@@ -1005,19 +860,30 @@ func (s *Server) handleRoutesBatch(req Request) Response {
 		return errResponse(req.ID, CodeUnknownTopo, fmt.Sprintf("topology %q not loaded", req.Topo))
 	}
 	out := BatchResult{Entries: make([]BatchEntry, len(req.Pairs))}
-	for i, pr := range req.Pairs {
-		r, code, err := s.routeOne(e, pr[0], pr[1])
-		if err != nil {
-			out.Entries[i] = BatchEntry{Err: code}
-			continue
-		}
-		route := r
-		out.Entries[i] = BatchEntry{Route: &route}
-		out.Routed++
-	}
+	out.Routed = s.routePairs(e, req.Pairs, out.Entries, make([]RouteResult, len(req.Pairs)))
 	resp := okResponse(req.ID)
 	resp.Batch = &out
 	return resp
+}
+
+// routePairs routes each pair into the matching entry: a routed entry
+// points at the next unused slot of routes, a failed one carries its
+// error code. entries and routes must hold at least len(pairs)
+// elements; the caller allocates them per batch (or once per sweep),
+// never per pair. It returns how many pairs routed.
+func (s *Server) routePairs(e *topoEntry, pairs [][2]int32, entries []BatchEntry, routes []RouteResult) int {
+	routed := 0
+	for i, pr := range pairs {
+		r, code, err := s.routeOne(e, pr[0], pr[1])
+		if err != nil {
+			entries[i] = BatchEntry{Err: code}
+			continue
+		}
+		routes[routed] = r
+		entries[i] = BatchEntry{Route: &routes[routed]}
+		routed++
+	}
+	return routed
 }
 
 // handleSweep admits one sweep: validates it, claims a sweep slot and
@@ -1110,10 +976,15 @@ func (s *Server) runSweep(e *topoEntry, cw *connWriter, id string, sp SweepParam
 		rng = xrand.NewPair(sp.Seed, 0x73777065) // "swpe"
 	}
 	nodes := e.topo.N
-	// Entries and routes are reused across chunks: the writer encodes
-	// synchronously, so nothing references them once write returns.
+	// Pairs, entries and routes are reused across chunks: the writer
+	// encodes synchronously, so nothing references them once write
+	// returns.
 	entries := make([]BatchEntry, chunk)
 	routes := make([]RouteResult, chunk)
+	var gen [][2]int32
+	if rng != nil {
+		gen = make([][2]int32, chunk)
+	}
 	var seq int
 	var routed, failed int64
 	for off := 0; off < total; off += chunk {
@@ -1124,28 +995,19 @@ func (s *Server) runSweep(e *topoEntry, cw *connWriter, id string, sp SweepParam
 		if total-off < n {
 			n = total - off
 		}
-		chunkRouted, nr := 0, 0
-		for i := 0; i < n; i++ {
-			var src, dst int32
-			if rng != nil {
-				src = int32(rng.IntN(nodes))
-				dst = int32(rng.IntNExcept(nodes, int(src)))
-			} else {
-				pr := sp.Pairs[off+i]
-				src, dst = pr[0], pr[1]
+		var pairs [][2]int32
+		if rng != nil {
+			pairs = gen[:n]
+			for i := range pairs {
+				src := rng.IntN(nodes)
+				pairs[i] = [2]int32{int32(src), int32(rng.IntNExcept(nodes, src))}
 			}
-			r, code, err := s.routeOne(e, src, dst)
-			if err != nil {
-				entries[i] = BatchEntry{Err: code}
-				failed++
-				continue
-			}
-			routes[nr] = r
-			entries[i] = BatchEntry{Route: &routes[nr]}
-			nr++
-			chunkRouted++
-			routed++
+		} else {
+			pairs = sp.Pairs[off : off+n]
 		}
+		chunkRouted := s.routePairs(e, pairs, entries[:n], routes)
+		routed += int64(chunkRouted)
+		failed += int64(n - chunkRouted)
 		resp := okResponse(id)
 		resp.SweepChunk = &SweepChunk{Seq: seq, Routed: chunkRouted, Entries: entries[:n]}
 		if cw.write(&resp) != nil {
