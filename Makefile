@@ -9,7 +9,7 @@
 # "current" numbers against the committed BENCH_*.json baselines the way
 # benchstat compares runs — several repetitions, interleaved, on an idle
 # machine — before trusting a delta (docs/PERFORMANCE.md).
-.PHONY: check build test bench bench-graph bench-routing bench-flit bench-paths bench-serve fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check flake
+.PHONY: check build test bench bench-graph bench-routing bench-flit bench-paths bench-serve fmt lint race-graph race-faults race-paths race-serve race-serve-v2 race-chaos race-flit-events flit-event-smoke fuzz-paths fuzz-serve serve-smoke chaos-smoke docs-check flake perfbench
 
 check: fmt lint
 	go vet ./...
@@ -25,6 +25,7 @@ check: fmt lint
 	$(MAKE) fuzz-paths
 	$(MAKE) serve-smoke
 	$(MAKE) docs-check
+	$(MAKE) perfbench
 	go build ./...
 
 # gofmt -l prints offending files; fail if it prints anything.
@@ -117,6 +118,12 @@ chaos-smoke:
 N ?= 20
 flake:
 	go test -count=$(N) ./internal/serve/...
+
+# The benchmark is a module of its own (perfbench/go.mod), so the root
+# `go test ./...` never compiles it; its tests pin the seed-1 simulated
+# statistics and path-set digests every workload must reproduce.
+perfbench:
+	go -C perfbench vet ./... && go -C perfbench test -count=1 ./...
 
 # Relative links in README.md and docs/*.md must point at real files.
 docs-check:

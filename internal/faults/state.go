@@ -60,10 +60,9 @@ type State struct {
 	repair *RepairConfig
 	maxLen int
 
-	epoch    uint64
-	numDown  int
-	downDir  []bool // per directed link id
-	downEdge map[uint64]struct{}
+	epoch   uint64
+	numDown int
+	downDir []bool // per directed link id
 
 	live     map[uint64]liveEntry
 	repaired map[uint64]repairEntry
@@ -102,7 +101,6 @@ func NewState(g *graph.Graph, sched *Schedule, policy Policy, repair *RepairConf
 		repair:   repair,
 		maxLen:   maxLen,
 		downDir:  make([]bool, g.NumDirectedLinks()),
-		downEdge: make(map[uint64]struct{}),
 		live:     make(map[uint64]liveEntry),
 		repaired: make(map[uint64]repairEntry),
 	}
@@ -158,27 +156,23 @@ func (st *State) Advance(clock int64) []Event {
 }
 
 func (st *State) apply(e Event) {
-	key := graph.UndirectedEdgeKey(e.U, e.V)
-	_, isDown := st.downEdge[key]
+	id := st.g.LinkID(e.U, e.V) // NewState checked every event is an edge
+	isDown := st.downDir[id]
 	if e.Up {
 		st.ups++
 		if !isDown {
 			return
 		}
-		delete(st.downEdge, key)
 		st.numDown--
 	} else {
 		st.downs++
 		if isDown {
 			return
 		}
-		st.downEdge[key] = struct{}{}
 		st.numDown++
 	}
-	down := !e.Up
-	id := st.g.LinkID(e.U, e.V)
-	st.downDir[id] = down
-	st.downDir[st.g.ReverseLink(id)] = down
+	st.downDir[id] = !e.Up
+	st.downDir[st.g.ReverseLink(id)] = !e.Up
 }
 
 // Active reports whether any link is currently down. When false, every
@@ -197,10 +191,11 @@ func (st *State) LinkDown(link int32) bool {
 	return int(link) < len(st.downDir) && st.downDir[link]
 }
 
-// EdgeDown reports whether the undirected edge {u, v} is down.
+// EdgeDown reports whether the undirected edge {u, v} is down. A non-edge
+// is never down.
 func (st *State) EdgeDown(u, v graph.NodeID) bool {
-	_, down := st.downEdge[graph.UndirectedEdgeKey(u, v)]
-	return down
+	l := st.g.LinkID(u, v)
+	return l >= 0 && st.downDir[l]
 }
 
 // DownCount returns the number of currently failed undirected links.
@@ -319,8 +314,10 @@ func (st *State) ensureFiltered() {
 		return
 	}
 	b := st.g.Clone()
-	for key := range st.downEdge {
-		b.RemoveEdge(graph.NodeID(key>>32), graph.NodeID(uint32(key)))
+	for l, down := range st.downDir {
+		if u, v := st.g.LinkEndpoints(int32(l)); down && u < v {
+			b.RemoveEdge(u, v)
+		}
 	}
 	st.filtered = b.Graph()
 	st.filteredEpoch = st.epoch

@@ -277,7 +277,7 @@ func (r *sliceRep) linkEndpoints(link int32) (u, v graph.NodeID) {
 }
 
 // sliceEngine replicates SPEngine.AllDistancesFrom field for field and
-// branch for branch — epochs, ban checks, edge-ban gate — with only the
+// branch for branch — epochs and node-ban checks — with only the
 // adjacency access swapped from the arena to per-node slices, so the
 // measured delta isolates the representation.
 type sliceEngine struct {
@@ -287,7 +287,6 @@ type sliceEngine struct {
 	epoch     uint32
 	banEpoch  []uint32
 	banCur    uint32
-	edgeBans  map[uint64]struct{}
 
 	frontier, next []graph.NodeID
 }
@@ -299,7 +298,6 @@ func newSliceEngine(r *sliceRep) *sliceEngine {
 		seenEpoch: make([]uint32, r.n),
 		banEpoch:  make([]uint32, r.n),
 		banCur:    1,
-		edgeBans:  make(map[uint64]struct{}),
 	}
 }
 
@@ -314,18 +312,12 @@ func (e *sliceEngine) allDistancesFrom(src graph.NodeID, dist []int32) {
 	e.seenEpoch[src] = e.epoch
 	dist[src] = 0
 	e.frontier = append(e.frontier[:0], src)
-	useEdgeBans := len(e.edgeBans) > 0
 	for level := int32(0); len(e.frontier) > 0; level++ {
 		e.next = e.next[:0]
 		for _, u := range e.frontier {
 			for _, v := range e.r.adj[u] {
-				if e.banEpoch[v] == e.banCur || e.seenEpoch[v] == e.epoch {
+				if e.seenEpoch[v] == e.epoch || e.banEpoch[v] == e.banCur {
 					continue
-				}
-				if useEdgeBans {
-					if _, banned := e.edgeBans[graph.DirectedEdgeKey(u, v)]; banned {
-						continue
-					}
 				}
 				e.seenEpoch[v] = e.epoch
 				dist[v] = level + 1

@@ -25,7 +25,8 @@ const (
 // with O(1) amortized reset cost. It supports banning nodes and (directed
 // or undirected) edges, which is how Yen's algorithm and the Remove-Find
 // method express their temporary graph modifications without copying the
-// graph.
+// graph. Node and link bans are both epoch stamps, indexed by node id and
+// by CSR link id, so ClearBans is a single counter bump.
 //
 // An SPEngine is not safe for concurrent use; parallel workers each create
 // their own engine over the shared immutable Graph.
@@ -40,9 +41,9 @@ type SPEngine struct {
 	seenEpoch []uint32
 	epoch     uint32
 
-	banEpoch []uint32
+	banEpoch []uint32 // per node
+	linkBan  []uint32 // per directed link id
 	banCur   uint32
-	edgeBans map[uint64]struct{}
 
 	frontier, next []NodeID
 }
@@ -63,8 +64,8 @@ func NewSPEngine(g *Graph, tie TieBreak, rng *xrand.RNG) *SPEngine {
 		parentCnt: make([]int32, n),
 		seenEpoch: make([]uint32, n),
 		banEpoch:  make([]uint32, n),
+		linkBan:   make([]uint32, g.NumDirectedLinks()),
 		banCur:    1,
-		edgeBans:  make(map[uint64]struct{}),
 	}
 }
 
@@ -78,22 +79,30 @@ func (e *SPEngine) BanNode(u NodeID) { e.banEpoch[u] = e.banCur }
 func (e *SPEngine) NodeBanned(u NodeID) bool { return e.banEpoch[u] == e.banCur }
 
 // BanDirectedEdge excludes traversals u→v (but not v→u) until ClearBans.
+// Banning a non-edge is a no-op.
 func (e *SPEngine) BanDirectedEdge(u, v NodeID) {
-	e.edgeBans[DirectedEdgeKey(u, v)] = struct{}{}
+	if l := e.g.LinkID(u, v); l >= 0 {
+		e.linkBan[l] = e.banCur
+	}
 }
 
 // BanUndirectedEdge excludes the edge {u, v} in both directions until
-// ClearBans.
+// ClearBans. Banning a non-edge is a no-op.
 func (e *SPEngine) BanUndirectedEdge(u, v NodeID) {
-	e.edgeBans[DirectedEdgeKey(u, v)] = struct{}{}
-	e.edgeBans[DirectedEdgeKey(v, u)] = struct{}{}
+	if l := e.g.LinkID(u, v); l >= 0 {
+		e.linkBan[l] = e.banCur
+		e.linkBan[e.g.rev[l]] = e.banCur
+	}
 }
 
-// ClearBans removes all node and edge bans in O(1) + O(#edge bans).
+// ClearBans removes all node and link bans in O(1). When the epoch
+// counter wraps, the stamps are zeroed so no stale stamp can match.
 func (e *SPEngine) ClearBans() {
 	e.banCur++
-	if len(e.edgeBans) > 0 {
-		clear(e.edgeBans)
+	if e.banCur == 0 {
+		clear(e.banEpoch)
+		clear(e.linkBan)
+		e.banCur = 1
 	}
 }
 
@@ -117,21 +126,16 @@ func (e *SPEngine) ShortestPath(src, dst NodeID) (Path, bool) {
 	e.parent[src] = -1
 	e.frontier = append(e.frontier[:0], src)
 
-	useEdgeBans := len(e.edgeBans) > 0
 	for level := int32(0); len(e.frontier) > 0; level++ {
 		if e.tie == TieRandom {
 			xrand.ShuffleSlice(e.rng, e.frontier)
 		}
 		e.next = e.next[:0]
 		for _, u := range e.frontier {
-			for _, v := range e.g.nbr[e.g.start[u]:e.g.start[u+1]] {
-				if e.banEpoch[v] == e.banCur {
+			for l := e.g.start[u]; l < e.g.start[u+1]; l++ {
+				v := e.g.nbr[l]
+				if e.banEpoch[v] == e.banCur || e.linkBan[l] == e.banCur {
 					continue
-				}
-				if useEdgeBans {
-					if _, banned := e.edgeBans[DirectedEdgeKey(u, v)]; banned {
-						continue
-					}
 				}
 				if e.seenEpoch[v] != e.epoch {
 					e.seenEpoch[v] = e.epoch
@@ -185,8 +189,9 @@ func (e *SPEngine) extract(src, dst NodeID) Path {
 }
 
 // AllDistancesFrom fills dist with hop distances from src to every node,
-// using -1 for unreachable nodes. Bans are respected. dist must have length
-// NumNodes.
+// using -1 for unreachable nodes. Node bans are respected; link bans are
+// not (the all-pairs metrics that call it ban nothing, and a per-link check
+// would tax their inner loop). dist must have length NumNodes.
 func (e *SPEngine) AllDistancesFrom(src NodeID, dist []int32) {
 	if len(dist) != e.g.NumNodes() {
 		panic("graph: dist slice has wrong length")
@@ -201,18 +206,14 @@ func (e *SPEngine) AllDistancesFrom(src NodeID, dist []int32) {
 	e.seenEpoch[src] = e.epoch
 	dist[src] = 0
 	e.frontier = append(e.frontier[:0], src)
-	useEdgeBans := len(e.edgeBans) > 0
 	for level := int32(0); len(e.frontier) > 0; level++ {
 		e.next = e.next[:0]
 		for _, u := range e.frontier {
 			for _, v := range e.g.nbr[e.g.start[u]:e.g.start[u+1]] {
-				if e.banEpoch[v] == e.banCur || e.seenEpoch[v] == e.epoch {
+				// Seen first: past the first levels most neighbors are
+				// already seen, so the ban load is usually skipped.
+				if e.seenEpoch[v] == e.epoch || e.banEpoch[v] == e.banCur {
 					continue
-				}
-				if useEdgeBans {
-					if _, banned := e.edgeBans[DirectedEdgeKey(u, v)]; banned {
-						continue
-					}
 				}
 				e.seenEpoch[v] = e.epoch
 				dist[v] = level + 1

@@ -293,3 +293,145 @@ func TestEngineDistance(t *testing.T) {
 		t.Fatalf("unreachable Distance = %d, want -1", d)
 	}
 }
+
+// TestLinkBansMatchFilteredBFS drives many ban epochs of random directed
+// link, undirected link and node bans (non-edges included, which must be
+// no-ops) on random graphs. In every epoch ShortestPath must find a path
+// that avoids every ban and is exactly as short as a plain BFS over a
+// clone of the graph with the banned edges and nodes removed; after
+// ClearBans, no ban may survive.
+func TestLinkBansMatchFilteredBFS(t *testing.T) {
+	rng := xrand.New(2024)
+	for trial := 0; trial < 6; trial++ {
+		n := 20 + rng.IntN(30)
+		g := randomGraph(rng, n, 0.08+0.1*rng.Float64())
+		det := NewSPEngine(g, TieDeterministic, nil)
+		rnd := NewSPEngine(g, TieRandom, xrand.New(uint64(trial)))
+		unbanned := filteredDist(g.Clone().Graph(), nil)
+		for epoch := 0; epoch < 40; epoch++ {
+			b := g.Clone()
+			dirBan := map[[2]NodeID]bool{}
+			nodeBan := map[NodeID]bool{}
+			for i := rng.IntN(3 * n); i > 0; i-- {
+				u, v := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+				if u == v {
+					continue
+				}
+				switch rng.IntN(5) {
+				case 0, 1:
+					for _, e := range []*SPEngine{det, rnd} {
+						e.BanDirectedEdge(u, v)
+					}
+					if g.HasEdge(u, v) {
+						dirBan[[2]NodeID{u, v}] = true
+					}
+				case 2, 3:
+					for _, e := range []*SPEngine{det, rnd} {
+						e.BanUndirectedEdge(u, v)
+					}
+					b.RemoveEdge(u, v)
+				default:
+					for _, e := range []*SPEngine{det, rnd} {
+						e.BanNode(u)
+					}
+					nodeBan[u] = true
+				}
+			}
+			for u := range nodeBan {
+				for _, v := range g.Neighbors(u) {
+					b.RemoveEdge(u, v)
+				}
+			}
+			want := filteredDist(b.Graph(), dirBan)
+			for s := NodeID(0); int(s) < n; s++ {
+				for d := NodeID(0); int(d) < n; d++ {
+					if s == d {
+						continue
+					}
+					w := want[s][d]
+					if nodeBan[s] || nodeBan[d] {
+						w = -1
+					}
+					for _, e := range []*SPEngine{det, rnd} {
+						p, ok := e.ShortestPath(s, d)
+						if got := pathHops(p, ok); got != w {
+							t.Fatalf("trial %d epoch %d %d->%d: %d hops, filtered BFS %d", trial, epoch, s, d, got, w)
+						}
+						for i := 0; ok && i+1 < len(p); i++ {
+							if !b.HasEdge(p[i], p[i+1]) || dirBan[[2]NodeID{p[i], p[i+1]}] {
+								t.Fatalf("path %v crosses banned link %d-%d", p, p[i], p[i+1])
+							}
+						}
+					}
+				}
+			}
+			det.ClearBans()
+			rnd.ClearBans()
+			for i := 0; i < 3*n; i++ {
+				s, d := NodeID(rng.IntN(n)), NodeID(rng.IntN(n))
+				if s == d {
+					continue
+				}
+				for _, e := range []*SPEngine{det, rnd} {
+					p, ok := e.ShortestPath(s, d)
+					if got := pathHops(p, ok); got != unbanned[s][d] {
+						t.Fatalf("ban survived ClearBans: %d->%d %d hops, want %d", s, d, got, unbanned[s][d])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestClearBansEpochWrap: when the ban epoch counter wraps, neither the
+// zero stamps of never-banned nodes and links nor stamps left from before
+// the wrap may read as bans.
+func TestClearBansEpochWrap(t *testing.T) {
+	e := NewSPEngine(cycle(4), TieDeterministic, nil)
+	e.banCur = ^uint32(0)
+	e.BanUndirectedEdge(0, 1)
+	e.BanNode(2)
+	e.ClearBans()
+	for s := NodeID(0); s < 4; s++ {
+		if e.NodeBanned(s) {
+			t.Fatalf("node %d still banned after wrap", s)
+		}
+	}
+	if p, ok := e.ShortestPath(0, 1); !ok || p.Hops() != 1 {
+		t.Fatalf("link ban survived the wrap: %v", p)
+	}
+}
+
+func pathHops(p Path, ok bool) int {
+	if !ok {
+		return -1
+	}
+	return p.Hops()
+}
+
+// filteredDist is the reference: all-pairs BFS hop counts over h, never
+// traversing a directed pair in dirBan (-1 when unreachable).
+func filteredDist(h *Graph, dirBan map[[2]NodeID]bool) [][]int {
+	n := h.NumNodes()
+	dist := make([][]int, n)
+	for s := range dist {
+		d := make([]int, n)
+		for i := range d {
+			d[i] = -1
+		}
+		d[s] = 0
+		queue := []NodeID{NodeID(s)}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range h.Neighbors(u) {
+				if d[v] < 0 && !dirBan[[2]NodeID{u, v}] {
+					d[v] = d[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+		dist[s] = d
+	}
+	return dist
+}

@@ -87,11 +87,6 @@ func UndirectedEdgeKey(u, v NodeID) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(v))
 }
 
-// DirectedEdgeKey packs the directed edge u→v into a 64-bit key.
-func DirectedEdgeKey(u, v NodeID) uint64 {
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
-
 // String renders the path as "0->5->12".
 func (p Path) String() string {
 	var sb strings.Builder

@@ -155,13 +155,7 @@ type Computer struct {
 	fallbacks int
 
 	// Yen scratch.
-	candidates []candidate
-	seen       map[string]struct{}
-}
-
-type candidate struct {
-	p    graph.Path
-	hops int
+	candidates []graph.Path
 }
 
 // NewComputer returns a Computer for g under cfg. rng is required for
@@ -178,11 +172,10 @@ func NewComputer(g *graph.Graph, cfg Config, rng *xrand.RNG) *Computer {
 		}
 	}
 	return &Computer{
-		cfg:  cfg,
-		g:    g,
-		eng:  graph.NewSPEngine(g, tie, rng),
-		rng:  rng,
-		seen: make(map[string]struct{}),
+		cfg: cfg,
+		g:   g,
+		eng: graph.NewSPEngine(g, tie, rng),
+		rng: rng,
 	}
 }
 
@@ -236,8 +229,6 @@ func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 	a := make([]graph.Path, 0, k)
 	a = append(a, first)
 	c.candidates = c.candidates[:0]
-	clear(c.seen)
-	c.seen[pathKey(first)] = struct{}{}
 
 	for len(a) < k {
 		prev := a[len(a)-1]
@@ -266,12 +257,10 @@ func (c *Computer) yen(src, dst graph.NodeID, k int) []graph.Path {
 			total := make(graph.Path, 0, j+len(spurPath))
 			total = append(total, rootPath[:j]...)
 			total = append(total, spurPath...)
-			key := pathKey(total)
-			if _, dup := c.seen[key]; dup {
+			if containsPath(a, total) || containsPath(c.candidates, total) {
 				continue
 			}
-			c.seen[key] = struct{}{}
-			c.candidates = append(c.candidates, candidate{p: total, hops: total.Hops()})
+			c.candidates = append(c.candidates, total)
 		}
 		if len(c.candidates) == 0 {
 			break
@@ -291,21 +280,21 @@ func (c *Computer) popBest() graph.Path {
 	for i := 1; i < len(c.candidates); i++ {
 		ci, cb := c.candidates[i], c.candidates[best]
 		switch {
-		case ci.hops < cb.hops:
+		case len(ci) < len(cb):
 			best, ties = i, 1
-		case ci.hops == cb.hops:
+		case len(ci) == len(cb):
 			if c.cfg.Alg.Randomized() {
 				// Reservoir-sample uniformly among ties.
 				ties++
 				if c.rng.IntN(ties) == 0 {
 					best = i
 				}
-			} else if lexLess(ci.p, cb.p) {
+			} else if lexLess(ci, cb) {
 				best = i
 			}
 		}
 	}
-	p := c.candidates[best].p
+	p := c.candidates[best]
 	c.candidates[best] = c.candidates[len(c.candidates)-1]
 	c.candidates = c.candidates[:len(c.candidates)-1]
 	return p
@@ -329,6 +318,14 @@ func (c *Computer) removeFind(src, dst graph.NodeID) []graph.Path {
 			c.eng.BanUndirectedEdge(p[i], p[i+1])
 		}
 	}
+	return c.topUp(src, dst, out)
+}
+
+// topUp finishes a Remove-Find search (edge- or node-disjoint): it clears
+// the search's bans and, when the pair disconnected before K paths were
+// found, fills the remaining slots with Yen paths over the original graph
+// (excluding exact duplicates) unless the fallback is disabled.
+func (c *Computer) topUp(src, dst graph.NodeID, out []graph.Path) []graph.Path {
 	c.eng.ClearBans()
 	if len(out) == 0 {
 		return nil
@@ -336,14 +333,9 @@ func (c *Computer) removeFind(src, dst graph.NodeID) []graph.Path {
 	if len(out) == c.cfg.K || c.cfg.DisableEDFallback {
 		return out
 	}
-	// Top up with Yen paths not already present.
 	c.fallbacks++
-	have := make(map[string]struct{}, len(out))
-	for _, p := range out {
-		have[pathKey(p)] = struct{}{}
-	}
 	for _, p := range c.yen(src, dst, c.cfg.K+len(out)) {
-		if _, dup := have[pathKey(p)]; dup {
+		if containsPath(out, p) {
 			continue
 		}
 		out = append(out, p)
@@ -391,13 +383,15 @@ func (c *Computer) llskr(src, dst graph.NodeID) []graph.Path {
 	return all[:keep]
 }
 
-// pathKey serializes a path into a map key.
-func pathKey(p graph.Path) string {
-	b := make([]byte, 0, 4*len(p))
-	for _, u := range p {
-		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24))
+// containsPath reports whether ps holds a path equal to p. Path sets are
+// tiny (k <= 16), so a scan beats hashing.
+func containsPath(ps []graph.Path, p graph.Path) bool {
+	for _, q := range ps {
+		if q.Equal(p) {
+			return true
+		}
 	}
-	return string(b)
+	return false
 }
 
 func samePrefix(p, prefix graph.Path) bool {

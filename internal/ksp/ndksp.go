@@ -47,26 +47,5 @@ func (c *Computer) removeFindNodes(src, dst graph.NodeID) []graph.Path {
 			c.eng.BanNode(u)
 		}
 	}
-	c.eng.ClearBans()
-	if len(out) == 0 {
-		return nil
-	}
-	if len(out) < c.cfg.K && !c.cfg.DisableEDFallback {
-		c.fallbacks++
-		have := make(map[string]struct{}, len(out))
-		for _, p := range out {
-			have[pathKey(p)] = struct{}{}
-		}
-		for _, p := range c.yen(src, dst, c.cfg.K+len(out)) {
-			if _, dup := have[pathKey(p)]; dup {
-				continue
-			}
-			out = append(out, p)
-			if len(out) == c.cfg.K {
-				break
-			}
-		}
-		sortByHops(out)
-	}
-	return out
+	return c.topUp(src, dst, out)
 }

@@ -489,14 +489,27 @@ func (c *Client) doLocked(ctx context.Context, req serve.Request) (serve.Respons
 	disarm := c.armCtxLocked(ctx)
 	defer disarm()
 
-	if err := c.writeReqLocked(&req); err != nil {
-		if errors.Is(err, errEncode) {
-			return serve.Response{}, err
-		}
-		c.failLocked()
-		return serve.Response{}, ctxErr(ctx, err)
+	werr := c.writeReqLocked(&req)
+	if errors.Is(werr, errEncode) {
+		return serve.Response{}, werr
 	}
+	if werr != nil && c.bin {
+		c.failLocked()
+		return serve.Response{}, ctxErr(ctx, werr)
+	}
+	// A JSON connection refused at the server's connection limit gets one
+	// overloaded frame with an empty id (no request was read) and is then
+	// closed. As in handshakeLocked, the frame is read even when the write
+	// failed: the write can hit the closed socket while the frame already
+	// waits in the receive buffer.
 	resp, err := c.readRespLocked()
+	if err == nil && resp.ID == "" && resp.Error != nil && resp.Error.Code == serve.CodeOverloaded {
+		c.failLocked()
+		return resp, &RemoteError{Code: resp.Error.Code, Message: resp.Error.Message}
+	}
+	if werr != nil {
+		err = werr
+	}
 	if err != nil {
 		c.failLocked()
 		return serve.Response{}, ctxErr(ctx, err)

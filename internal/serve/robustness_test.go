@@ -286,6 +286,33 @@ func TestConnLimitRefusal(t *testing.T) {
 	})
 }
 
+// TestJSONRefusalAtConnLimit: a JSON client dialed past the connection
+// limit must surface the server's refusal frame as the overloaded
+// RemoteError every time — whether its request write beat the server's
+// close (the refusal then arrives in place of the response, with an
+// empty id) or hit the already-closed socket.
+func TestJSONRefusalAtConnLimit(t *testing.T) {
+	_, sock := startServer(t, serve.Options{MaxConns: 1})
+	held, heldSC := rawConnTo(t, sock)
+	// The held conn must be registered before the refused dials; a
+	// probe forces the accept loop to have admitted it.
+	if r := rawRequest(t, held, heldSC, `{"v":1,"id":"h","op":"health"}`); !r.OK {
+		t.Fatalf("held connection not served: %+v", r)
+	}
+	for i := 0; i < 200; i++ {
+		c, err := client.Dial(bg, "unix", sock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.Stats(bg)
+		c.Close()
+		var re *client.RemoteError
+		if !errors.As(err, &re) || re.Code != serve.CodeOverloaded {
+			t.Fatalf("dial %d: got %v, want RemoteError %s", i, err, serve.CodeOverloaded)
+		}
+	}
+}
+
 func TestPanicIsolation(t *testing.T) {
 	srv, sock := startServer(t, serve.Options{EnableTestOps: true})
 	bystander, bystanderSC := rawConnTo(t, sock)
