@@ -25,10 +25,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cliflags"
 	"repro/internal/flitsim"
 	"repro/internal/jellyfish"
@@ -45,7 +44,7 @@ type point struct {
 	CyclesPerSec float64 `json:"cycles_per_sec"`
 }
 
-type run struct {
+type series struct {
 	Label  string  `json:"label"`
 	Points []point `json:"points"`
 }
@@ -62,6 +61,7 @@ type largeRun struct {
 }
 
 type report struct {
+	bench.Env
 	Topology     string    `json:"topology"`
 	Switches     int       `json:"switches"`
 	Terminals    int       `json:"terminals"`
@@ -69,22 +69,26 @@ type report struct {
 	Mechanism    string    `json:"mechanism"`
 	K            int       `json:"k"`
 	WarmupCycles int       `json:"warmup_cycles"`
-	Baseline     *run      `json:"baseline,omitempty"`
-	Current      run       `json:"current"`
-	EventDriven  *run      `json:"event_driven,omitempty"`
+	Baseline     *series   `json:"baseline,omitempty"`
+	Current      series    `json:"current"`
+	EventDriven  *series   `json:"event_driven,omitempty"`
 	Large        *largeRun `json:"large_topology,omitempty"`
 }
 
 func main() {
 	out := flag.String("o", "BENCH_flitsim.json", "output file")
-	label := flag.String("label", "event-capable core, cycle-stepped", "label for this run")
 	rebase := flag.Bool("rebase", false, "discard the stored baseline and make this run the new one")
-	skipLarge := flag.Bool("skip-large", false, "skip the RRG(720,24,19) section (useful for quick local runs)")
 	prof := cliflags.ProfileFlags()
 	flag.Parse()
+	if err := run(*out, *rebase, prof); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
 
+func run(out string, rebase bool, prof *cliflags.Profile) error {
 	if err := prof.Start(); err != nil {
-		fatal(err)
+		return err
 	}
 	defer prof.Stop()
 
@@ -93,11 +97,12 @@ func main() {
 	params := jellyfish.Small
 	topo, err := jellyfish.New(params, xrand.New(7))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	pdb := paths.NewDB(topo.G, ksp.Config{Alg: ksp.REDKSP, K: k}, 0)
 
 	rep := report{
+		Env:          bench.Stamp(),
 		Topology:     fmt.Sprint(params),
 		Switches:     params.N,
 		Terminals:    topo.NumTerminals(),
@@ -105,8 +110,8 @@ func main() {
 		Mechanism:    "ksp-adaptive",
 		K:            k,
 		WarmupCycles: warmup,
-		Current:      run{Label: *label},
-		EventDriven:  &run{Label: "event-driven advance (geometric injection, idle-span jumps)"},
+		Current:      series{Label: "event-capable core, cycle-stepped"},
+		EventDriven:  &series{Label: "event-driven advance (geometric injection, idle-span jumps)"},
 	}
 
 	// The two sparsest loads are the proportionality showcase: below
@@ -137,34 +142,42 @@ func main() {
 		}
 	}
 
-	if !*skipLarge {
-		rep.Large = measureLarge()
-	}
-
-	// Preserve the oldest committed run as the baseline, so the file
-	// always documents a before/after pair for this hot loop.
-	if !*rebase {
-		if buf, err := os.ReadFile(*out); err == nil {
-			var prev report
-			if json.Unmarshal(buf, &prev) == nil {
-				if prev.Baseline != nil {
-					rep.Baseline = prev.Baseline
-				} else if len(prev.Current.Points) > 0 {
-					rep.Baseline = &prev.Current
-				}
-			}
-		}
-	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
+	large, err := measureLarge()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
+	rep.Large = large
+
+	keepBaseline(&rep, out, rebase)
+	if err := bench.WriteJSON(out, rep); err != nil {
+		return err
 	}
-	fmt.Println("wrote", *out)
+	fmt.Println("wrote", out)
+	return nil
+}
+
+// keepBaseline carries the oldest run stored in the previous report at
+// path forward as rep's baseline — its baseline, or its current run when
+// it has none — so the file always documents a before/after pair for the
+// hot loop. rebase, or a missing or unreadable file, leaves rep without
+// a baseline, so this run becomes the next one's.
+func keepBaseline(rep *report, path string, rebase bool) {
+	if rebase {
+		return
+	}
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return
+	}
+	var prev report
+	if json.Unmarshal(buf, &prev) != nil {
+		return
+	}
+	if prev.Baseline != nil {
+		rep.Baseline = prev.Baseline
+	} else if len(prev.Current.Points) > 0 {
+		rep.Baseline = &prev.Current
+	}
 }
 
 // measureLarge produces the first committed cycle-accurate point on the
@@ -173,13 +186,13 @@ func main() {
 // permutation pattern keeps the eager path build tractable — only the
 // ~3600 switch pairs the pattern actually uses are computed, instead of
 // all 720x719 ordered pairs.
-func measureLarge() *largeRun {
+func measureLarge() (*largeRun, error) {
 	const load = 0.02
 	const k = 8
 	params := jellyfish.Medium
 	topo, err := jellyfish.New(params, xrand.New(7))
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	pattern := traffic.RandomPermutation(topo.NumTerminals(), xrand.New(99))
 	var pairs []paths.Pair
@@ -219,29 +232,15 @@ func measureLarge() *largeRun {
 		}
 		fmt.Printf("%v load %.2f %-5s: %10.1f ns/cycle %12.0f cycles/sec\n", params, load, mode, ns, 1e9/ns)
 	}
-	return lr
+	return lr, nil
 }
 
-// measure times a fixed amount of deterministic work — a fresh simulation
-// warmed up and then stepped for a fixed cycle count — several times and
-// keeps the fastest repetition. Fixed work makes runs comparable across
-// commits (a b.N-scaled harness measures different saturation depths on
-// different machines); best-of-reps suppresses scheduler noise.
+// measure returns the best-of-reps ns/cycle of a fresh simulation,
+// warmed up untimed, then stepped for a fixed cycle count.
 func measure(cfg flitsim.Config, warmup, cycles, reps int) float64 {
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
-		s := flitsim.New(cfg)
-		s.Step(warmup)
-		t0 := time.Now()
-		s.Step(cycles)
-		if ns := float64(time.Since(t0).Nanoseconds()) / float64(cycles); ns < best {
-			best = ns
-		}
-	}
-	return best
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
+	var s *flitsim.Sim
+	sec := bench.Best(reps,
+		func() { s = flitsim.New(cfg); s.Step(warmup) },
+		func() { s.Step(cycles) })
+	return sec * 1e9 / float64(cycles)
 }

@@ -29,13 +29,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
+	"repro/internal/bench"
 	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/xrand"
@@ -68,16 +67,23 @@ type topoReport struct {
 }
 
 type report struct {
+	bench.Env
 	Topologies []topoReport `json:"topologies"`
 }
 
-func main() {
-	var (
-		out  = flag.String("o", "BENCH_graph.json", "output file")
-		reps = flag.Int("reps", 3, "repetitions per measurement (best is kept)")
-	)
-	flag.Parse()
+// reps is the repetitions per measurement; the fastest is kept.
+const reps = 3
 
+func main() {
+	out := flag.String("o", "BENCH_graph.json", "output file (- = stdout)")
+	flag.Parse()
+	if err := run(*out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
+
+func run(out string) error {
 	cases := []struct {
 		p    jellyfish.Params
 		seed uint64
@@ -85,25 +91,25 @@ func main() {
 		{jellyfish.Medium, 1},                        // RRG(720,24,19)
 		{jellyfish.Params{N: 2000, X: 24, Y: 19}, 1}, // past the old dense-table comfort zone
 	}
-	var rep report
+	rep := report{Env: bench.Stamp()}
 	for _, c := range cases {
-		rep.Topologies = append(rep.Topologies, benchTopology(c.p, c.seed, *reps))
+		r, err := benchTopology(c.p, c.seed)
+		if err != nil {
+			return err
+		}
+		rep.Topologies = append(rep.Topologies, r)
 	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
+	if err := bench.WriteJSON(out, rep); err != nil {
+		return err
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", *out)
+	fmt.Println("wrote", out)
+	return nil
 }
 
-func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
+func benchTopology(p jellyfish.Params, seed uint64) (topoReport, error) {
 	topo, err := jellyfish.New(p, xrand.New(seed))
 	if err != nil {
-		fatal(err)
+		return topoReport{}, err
 	}
 	g := topo.G
 	n := g.NumNodes()
@@ -114,14 +120,14 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 	r := topoReport{Topology: p.String(), Nodes: n, Edges: len(edges)}
 
 	// Build time: sorted-slice builder vs the map builder it replaced.
-	r.BuildSeconds = best(reps, func() {
+	r.BuildSeconds = bench.Best(reps, nil, func() {
 		b := graph.NewBuilder(n)
 		for _, e := range edges {
 			b.AddEdge(e[0], e[1])
 		}
 		sink(b.Graph().NumEdges())
 	})
-	r.MapBuildSeconds = best(reps, func() {
+	r.MapBuildSeconds = bench.Best(reps, nil, func() {
 		b := newMapBuilder(n)
 		for _, e := range edges {
 			b.addEdge(e[0], e[1])
@@ -134,10 +140,10 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 	// allocations that representation performed, size-class rounded the
 	// way the runtime rounds them (deterministic, no GC wobble).
 	r.PackedBytesPerNode = float64(g.FootprintBytes()) / float64(n)
-	var sliceBytes int64 = roundSizeClass(int64((n + 1) * 4)) // start array
-	sliceBytes += roundSizeClass(int64(n * 24))               // outer slice headers
+	var sliceBytes int64 = bench.RoundSizeClass(int64((n + 1) * 4)) // start array
+	sliceBytes += bench.RoundSizeClass(int64(n * 24))               // outer slice headers
 	for u := 0; u < n; u++ {
-		sliceBytes += roundSizeClass(int64(4 * g.Degree(graph.NodeID(u))))
+		sliceBytes += bench.RoundSizeClass(int64(4 * g.Degree(graph.NodeID(u))))
 	}
 	r.SliceGraphBytesPerNode = float64(sliceBytes) / float64(n)
 	if int64(n)*int64(n) <= 4<<20 {
@@ -153,13 +159,13 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 	eng := graph.NewSPEngine(g, graph.TieDeterministic, nil)
 	seng := newSliceEngine(ref)
 	dist := make([]int32, n)
-	packedSec := best(reps, func() {
+	packedSec := bench.Best(reps, nil, func() {
 		for s := 0; s < n; s++ {
 			eng.AllDistancesFrom(graph.NodeID(s), dist)
 		}
 		sink(int(dist[n-1]))
 	})
-	sliceSec := best(reps, func() {
+	sliceSec := bench.Best(reps, nil, func() {
 		for s := 0; s < n; s++ {
 			seng.allDistancesFrom(graph.NodeID(s), dist)
 		}
@@ -181,7 +187,7 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 		pairs[i] = [2]graph.NodeID{u, v}
 	}
 	const passes = 20
-	r.LinkIDMops = mops(passes, len(pairs), best(reps, func() {
+	r.LinkIDMops = mops(passes, len(pairs), bench.Best(reps, nil, func() {
 		acc := int32(0)
 		for pass := 0; pass < passes; pass++ {
 			for _, pr := range pairs {
@@ -190,7 +196,7 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 		}
 		sink(int(acc))
 	}))
-	r.SliceLinkIDMops = mops(passes, len(pairs), best(reps, func() {
+	r.SliceLinkIDMops = mops(passes, len(pairs), bench.Best(reps, nil, func() {
 		acc := int32(0)
 		for pass := 0; pass < passes; pass++ {
 			for _, pr := range pairs {
@@ -199,7 +205,7 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 		}
 		sink(int(acc))
 	}))
-	r.LinkEndpointsMops = mops(passes, len(probes), best(reps, func() {
+	r.LinkEndpointsMops = mops(passes, len(probes), bench.Best(reps, nil, func() {
 		acc := graph.NodeID(0)
 		for pass := 0; pass < passes; pass++ {
 			for _, l := range probes {
@@ -209,7 +215,7 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 		}
 		sink(int(acc))
 	}))
-	r.SliceEndpointsMops = mops(passes, len(probes), best(reps, func() {
+	r.SliceEndpointsMops = mops(passes, len(probes), bench.Best(reps, nil, func() {
 		acc := graph.NodeID(0)
 		for pass := 0; pass < passes; pass++ {
 			for _, l := range probes {
@@ -226,7 +232,7 @@ func benchTopology(p jellyfish.Params, seed uint64, reps int) topoReport {
 		r.Topology, r.BuildSpeedup, r.PackedBytesPerNode, r.SliceBytesPerNode, 100*r.PackedFraction,
 		r.BFSAllPairsSourcesPerSec, r.SliceBFSAllPairsSourcesPerSec, r.BFSSpeedup,
 		r.LinkEndpointsMops, r.SliceEndpointsMops, r.LinkEndpointsSpeedup)
-	return r
+	return r, nil
 }
 
 // sliceRep replicates the pre-CSR representation: per-node slice
@@ -363,20 +369,6 @@ func (b *mapBuilder) graph() mapGraph {
 	return mapGraph{m: total / 2}
 }
 
-// best runs f reps times and returns the fastest wall time, benchstat's
-// "pick the least noisy sample" convention.
-func best(reps int, f func()) float64 {
-	bestSec := 0.0
-	for i := 0; i < reps; i++ {
-		start := time.Now()
-		f()
-		if s := time.Since(start).Seconds(); i == 0 || s < bestSec {
-			bestSec = s
-		}
-	}
-	return bestSec
-}
-
 func mops(passes, ops int, sec float64) float64 {
 	return float64(passes) * float64(ops) / sec / 1e6
 }
@@ -385,23 +377,3 @@ var sinkVar int
 
 // sink defeats dead-code elimination of benchmark loops.
 func sink(v int) { sinkVar += v }
-
-// roundSizeClass rounds a small-object allocation up the way the Go
-// allocator does: to the next size class below 1 KiB, to 8-byte alignment
-// above.
-func roundSizeClass(n int64) int64 {
-	classes := []int64{8, 16, 24, 32, 48, 64, 80, 96, 112, 128,
-		144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384,
-		416, 448, 480, 512, 576, 640, 704, 768, 896, 1024}
-	for _, c := range classes {
-		if n <= c {
-			return c
-		}
-	}
-	return (n + 7) &^ 7
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
-}

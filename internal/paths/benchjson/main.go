@@ -17,20 +17,22 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
+	"repro/internal/par"
 	"repro/internal/paths"
 	"repro/internal/xrand"
 )
 
 type report struct {
+	bench.Env
 	Topology string `json:"topology"`
 	Selector string `json:"selector"`
 	K        int    `json:"k"`
@@ -49,87 +51,84 @@ type report struct {
 	PackedFraction     float64 `json:"packed_fraction"`
 }
 
-func main() {
-	var (
-		out      = flag.String("o", "BENCH_paths.json", "output file")
-		topoName = flag.String("topo", "medium", "topology: small, medium or large")
-		nPairs   = flag.Int("pairs", 50000, "sampled switch pairs (0 = all ordered pairs)")
-		k        = flag.Int("k", 8, "paths per pair")
-		selector = flag.String("selector", "rEDKSP", "path selector")
-		seed     = flag.Uint64("seed", 1, "build seed")
-		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
+// The benchmarked build: rEDKSP k=8 over 50,000 sampled pairs of the
+// medium topology, on par.DefaultWorkers (one per GOMAXPROCS).
+const (
+	nPairs = 50000
+	k      = 8
+	seed   = 1
+)
 
-	params, err := jellyfish.ByName(*topoName)
-	if err != nil {
-		fatal(err)
+func main() {
+	out := flag.String("o", "BENCH_paths.json", "output file (- = stdout)")
+	flag.Parse()
+	if err := run(*out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
 	}
-	alg, err := ksp.ByName(*selector)
-	if err != nil {
-		fatal(err)
-	}
+}
+
+func run(out string) error {
+	params := jellyfish.Medium
 	topo, err := jellyfish.New(params, xrand.New(7))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	g := topo.G
-	var prs []paths.Pair
-	if *nPairs > 0 {
-		prs = paths.SamplePairs(params.N, *nPairs, xrand.New(11))
-	} else {
-		prs = paths.AllOrderedPairs(params.N)
-	}
-	cfg := ksp.Config{Alg: alg, K: *k}
+	prs := paths.SamplePairs(params.N, nPairs, xrand.New(11))
+	cfg := ksp.Config{Alg: ksp.REDKSP, K: k}
+	workers := par.DefaultWorkers()
 
-	fmt.Printf("building %s %s k=%d over %d pairs...\n", params, alg, *k, len(prs))
+	fmt.Printf("building %s %s k=%d over %d pairs...\n", params, cfg.Alg, k, len(prs))
 	start := time.Now()
-	db := paths.Build(g, cfg, *seed, prs, *workers)
+	db := paths.Build(g, cfg, seed, prs, workers)
 	buildSec := time.Since(start).Seconds()
 
 	dir, err := os.MkdirTemp("", "jfpc-bench")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer os.RemoveAll(dir)
-	key := paths.CacheKey(g, cfg, *seed, prs)
+	key := paths.CacheKey(g, cfg, seed, prs)
 	file := filepath.Join(dir, paths.CacheFileName(key))
 	f, err := os.Create(file)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := db.WriteCache(f, key); err != nil {
-		fatal(err)
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
-		fatal(err)
+		return err
 	}
 	fi, err := os.Stat(file)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	start = time.Now()
-	loaded, cs, err := paths.LoadOrBuild(dir, g, cfg, *seed, prs, *workers)
+	loaded, cs, err := paths.LoadOrBuild(dir, g, cfg, seed, prs, workers)
 	loadSec := time.Since(start).Seconds()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if !cs.Hit {
-		fatal(fmt.Errorf("expected a cache hit, got a rebuild (%v)", cs.LoadErr))
+		return fmt.Errorf("expected a cache hit, got a rebuild (%v)", cs.LoadErr)
 	}
 
 	st, ok := loaded.StoreStats()
 	if !ok {
-		fatal(fmt.Errorf("cache-loaded DB has no packed store"))
+		return fmt.Errorf("cache-loaded DB has no packed store")
 	}
 
 	rep := report{
+		Env:                bench.Stamp(),
 		Topology:           params.String(),
-		Selector:           alg.String(),
-		K:                  *k,
+		Selector:           cfg.Alg.String(),
+		K:                  k,
 		Pairs:              len(prs),
-		Workers:            *workers,
+		Workers:            workers,
 		BuildSeconds:       buildSec,
 		BuildPairsPerSec:   float64(len(prs)) / buildSec,
 		CacheFileBytes:     fi.Size(),
@@ -140,21 +139,17 @@ func main() {
 	}
 	rep.PackedFraction = rep.PackedBytesPerPair / rep.SliceBytesPerPair
 
-	fmt.Printf("build: %.1fs (%.0f pairs/sec, workers=%d)\n", rep.BuildSeconds, rep.BuildPairsPerSec, *workers)
+	fmt.Printf("build: %.1fs (%.0f pairs/sec, workers=%d)\n", rep.BuildSeconds, rep.BuildPairsPerSec, workers)
 	fmt.Printf("cache: %d bytes on disk, load %.2fs -> %.1fx faster than rebuild\n",
 		rep.CacheFileBytes, rep.CacheLoadSeconds, rep.CacheSpeedup)
 	fmt.Printf("store: %.1f bytes/pair packed vs %.1f bytes/pair as slices (%.0f%%)\n",
 		rep.PackedBytesPerPair, rep.SliceBytesPerPair, rep.PackedFraction*100)
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
+	if err := bench.WriteJSON(out, rep); err != nil {
+		return err
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", *out)
+	fmt.Println("wrote", out)
+	return nil
 }
 
 // sliceBytesPerPair computes the resident footprint of the pre-CSR
@@ -177,30 +172,10 @@ func sliceBytesPerPair(db *paths.DB, prs []paths.Pair) float64 {
 	for _, pr := range prs {
 		ps := db.Paths(pr.Src, pr.Dst)
 		total += 2 * mapEntryBytes
-		total += roundSizeClass(int64(len(ps)) * pathHeaderBytes)
+		total += bench.RoundSizeClass(int64(len(ps)) * pathHeaderBytes)
 		for _, p := range ps {
-			total += roundSizeClass(int64(len(p)) * nodeBytes)
+			total += bench.RoundSizeClass(int64(len(p)) * nodeBytes)
 		}
 	}
 	return float64(total) / float64(len(prs))
-}
-
-// roundSizeClass rounds a small-object allocation up the way the Go
-// allocator does: to the next size class below 1 KiB (the classes path
-// node arrays and header arrays land in), to 8-byte alignment above.
-func roundSizeClass(n int64) int64 {
-	classes := []int64{8, 16, 24, 32, 48, 64, 80, 96, 112, 128,
-		144, 160, 176, 192, 208, 224, 240, 256, 288, 320, 352, 384,
-		416, 448, 480, 512, 576, 640, 704, 768, 896, 1024}
-	for _, c := range classes {
-		if n <= c {
-			return c
-		}
-	}
-	return (n + 7) &^ 7
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
 }

@@ -5,18 +5,19 @@
 //
 //	go run ./internal/routing/benchjson -o BENCH_routing.json
 //
-// The harness mirrors internal/routing's BenchmarkChoose: an rEDKSP path
-// DB over a 16-switch RRG, every ordered switch pair in rotation, and a
-// randomized static first-hop load.
+// Each mechanism in routing.Mechanisms() plus SP runs over an rEDKSP
+// path DB on a 16-switch RRG, every ordered switch pair in rotation
+// (warmed outside the timed loop), under a randomized static first-hop
+// load.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/graph"
 	"repro/internal/jellyfish"
 	"repro/internal/ksp"
@@ -33,6 +34,7 @@ type result struct {
 }
 
 type report struct {
+	bench.Env
 	K        int      `json:"k"`
 	Switches int      `json:"switches"`
 	Selector string   `json:"selector"`
@@ -57,13 +59,19 @@ func (e *staticLoad) PathCost(p graph.Path) int {
 var sink graph.Path
 
 func main() {
-	out := flag.String("o", "BENCH_routing.json", "output file")
+	out := flag.String("o", "BENCH_routing.json", "output file (- = stdout)")
 	flag.Parse()
+	if err := run(*out); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+}
 
+func run(out string) error {
 	const k = 8
 	topo, err := jellyfish.New(jellyfish.Params{N: 16, X: 8, Y: 4}, xrand.New(7))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	g := topo.G
 	db := paths.NewDB(g, ksp.Config{Alg: ksp.REDKSP, K: k}, 1)
@@ -86,7 +94,7 @@ func main() {
 		}
 	}
 
-	rep := report{K: k, Switches: g.NumNodes(), Selector: "rEDKSP"}
+	rep := report{Env: bench.Stamp(), K: k, Switches: g.NumNodes(), Selector: "rEDKSP"}
 	for _, m := range append(routing.Mechanisms(), routing.SP()) {
 		st := m.NewState()
 		rng := xrand.New(1)
@@ -107,18 +115,9 @@ func main() {
 			m.Name(), float64(r.T.Nanoseconds())/float64(r.N), r.AllocedBytesPerOp(), r.AllocsPerOp())
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
+	if err := bench.WriteJSON(out, rep); err != nil {
+		return err
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
+	fmt.Println("wrote", out)
+	return nil
 }

@@ -4,8 +4,8 @@
 // TCP connection, one response per request, in order — plus streaming
 // sweeps, whose chunk frames arrive between a Sweep call's ack and its
 // final totals. It exists for the protocol tests, the serve smoke gate,
-// the chaos harness and exp.ServeBench; a third-party client should be
-// written from docs/SERVICE.md alone.
+// the chaos harness and the serving benchmark (internal/serve/benchjson);
+// a third-party client should be written from docs/SERVICE.md alone.
 //
 // Every call takes a context.Context: a deadline bounds the dial and
 // each request's network I/O, and cancellation interrupts a call that
@@ -68,7 +68,8 @@ var DefaultRetry = RetryPolicy{MaxAttempts: 4, BaseDelay: 5 * time.Millisecond, 
 
 // Client is a synchronous jfserve client. Methods may be called from
 // multiple goroutines; requests are serialized on the one connection
-// (for throughput, open several clients and batch — see exp.ServeBench).
+// (for throughput, open several clients and batch — see
+// internal/serve/benchjson).
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
