@@ -217,6 +217,23 @@ func (c *Computer) Paths(src, dst graph.NodeID) []graph.Path {
 	panic(fmt.Sprintf("ksp: unknown algorithm %v", c.cfg.Alg))
 }
 
+// First computes only the first path of the pair's set: the one unbanned
+// shortest-path search every selector starts with. After the same Reseed
+// it equals Paths(src, dst)[0] (the top-up's stable sort keeps that path
+// first), at the cost of one search instead of k or more. It returns nil
+// for src == dst and for unreachable pairs, where Paths returns no paths.
+func (c *Computer) First(src, dst graph.NodeID) graph.Path {
+	if src == dst {
+		return nil
+	}
+	c.eng.ClearBans()
+	p, ok := c.eng.ShortestPath(src, dst)
+	if !ok {
+		return nil
+	}
+	return p
+}
+
 // yen computes up to k shortest loopless paths (Yen 1971) using the
 // engine's tie-break policy for both the underlying searches and the
 // selection among equally short candidates.

@@ -347,10 +347,16 @@ func TestUnreachablePair(t *testing.T) {
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
 	g := b.Graph()
-	for _, alg := range []Algorithm{KSP, RKSP, EDKSP, REDKSP, LLSKR} {
+	for _, alg := range allSelectors {
 		c := NewComputer(g, Config{Alg: alg, K: 3}, xrand.New(1))
 		if got := c.Paths(0, 3); got != nil {
 			t.Fatalf("%v: unreachable pair returned %v", alg, got)
+		}
+		if got := c.First(0, 3); got != nil {
+			t.Fatalf("%v: First of an unreachable pair returned %v", alg, got)
+		}
+		if got := c.First(1, 1); got != nil {
+			t.Fatalf("%v: First of a self pair returned %v", alg, got)
 		}
 	}
 }
@@ -427,5 +433,70 @@ func TestSelectorsPropertyOnIrregularGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// allSelectors lists every selector, the paper's four plus LLSKR and
+// the node-disjoint pair.
+var allSelectors = []Algorithm{KSP, RKSP, EDKSP, REDKSP, NDKSP, RNDKSP, LLSKR}
+
+// TestFirstMatchesPaths pins First to Paths()[0] under the same per-pair
+// Reseed, for every selector: on sampled pairs of the paper's medium
+// RRG(720,24,19), and on every pair of a degree-3 RRG(60,8,3), where k=8
+// exceeds the degree so every edge- and node-disjoint set takes the Yen
+// top-up and its sort.
+func TestFirstMatchesPaths(t *testing.T) {
+	samples := 2000
+	if testing.Short() {
+		samples = 200
+	}
+	for _, tc := range []struct {
+		p     jellyfish.Params
+		pairs int // 0 = every ordered pair
+	}{
+		{jellyfish.Params{N: 720, X: 24, Y: 19}, samples},
+		{jellyfish.Params{N: 60, X: 8, Y: 3}, 0},
+	} {
+		topo, err := jellyfish.New(tc.p, xrand.New(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := topo.G
+		n := g.NumNodes()
+		var pairs [][2]graph.NodeID
+		if tc.pairs == 0 {
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					pairs = append(pairs, [2]graph.NodeID{graph.NodeID(s), graph.NodeID(d)})
+				}
+			}
+		} else {
+			rng := xrand.New(11)
+			for i := 0; i < tc.pairs; i++ {
+				pairs = append(pairs, [2]graph.NodeID{graph.NodeID(rng.IntN(n)), graph.NodeID(rng.IntN(n))})
+			}
+		}
+		for _, alg := range allSelectors {
+			c := NewComputer(g, Config{Alg: alg, K: 8}, xrand.New(1))
+			for _, pr := range pairs {
+				key := uint64(uint32(pr[0]))<<32 | uint64(uint32(pr[1]))
+				c.Reseed(7, key)
+				first := c.First(pr[0], pr[1])
+				c.Reseed(7, key)
+				ps := c.Paths(pr[0], pr[1])
+				if len(ps) == 0 {
+					if first != nil {
+						t.Fatalf("%v %v: %d->%d: First %v, Paths empty", tc.p, alg, pr[0], pr[1], first)
+					}
+					continue
+				}
+				if !first.Equal(ps[0]) {
+					t.Fatalf("%v %v: %d->%d: First %v, Paths()[0] %v", tc.p, alg, pr[0], pr[1], first, ps[0])
+				}
+			}
+			if tc.pairs == 0 && alg.EdgeDisjoint() && c.Fallbacks() == 0 {
+				t.Fatalf("%v %v: no pair took the top-up; the sort is not exercised", tc.p, alg)
+			}
+		}
 	}
 }

@@ -211,7 +211,7 @@ func CacheFileName(key uint64) string {
 // identical for any two DBs holding the same path sets — eager builds at
 // any worker count, lazy fills in any order, or a prior cache load.
 func (db *DB) WriteCache(w io.Writer, key uint64) error {
-	db.mu.RLock()
+	db.rlockFilled()
 	defer db.mu.RUnlock()
 
 	var numPairs, numPaths, arenaLen uint64

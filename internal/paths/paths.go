@@ -4,7 +4,12 @@
 //   - DB, a concurrency-safe store of the k paths per ordered switch pair,
 //     filled eagerly in parallel (all pairs or a sampled subset) or lazily
 //     on first use, with per-pair deterministic randomness so results are
-//     independent of worker scheduling;
+//     independent of worker scheduling. DB.First answers a pair's first
+//     (shortest) path alone: on a miss it runs one shortest-path search
+//     instead of the whole selector and records the pair as pending, and
+//     anything that reads a pending pair's whole set (Paths, Lookup,
+//     Fallbacks, Write, WriteCache) fills it first, so a DB's contents and
+//     serialized bytes do not depend on which of the two filled it;
 //   - Quality, the path-quality metrics behind the paper's Tables II-IV:
 //     average path length, the percentage of switch pairs whose k paths
 //     share no link, and the maximum number of one pair's paths that share
@@ -46,8 +51,12 @@ type DB struct {
 	// purely lazy DB. Immutable once set, so reads skip the mutex.
 	st *store
 
-	mu        sync.RWMutex
-	m         map[uint64][]graph.Path // lazy fills on top of st
+	mu sync.RWMutex
+	m  map[uint64][]graph.Path // lazy fills on top of st
+	// pending holds pairs First computed but whose whole set nobody has
+	// read yet: only their first path (nil if unreachable) is known. A
+	// pending pair counts as stored; it is never also in m or st.
+	pending   map[uint64]graph.Path
 	computers sync.Pool
 	fallbacks int // fallbacks from lazy fills; st keeps the build's own
 }
@@ -55,10 +64,11 @@ type DB struct {
 // NewDB creates an empty DB for lazy use.
 func NewDB(g *graph.Graph, cfg ksp.Config, seed uint64) *DB {
 	db := &DB{
-		g:    g,
-		cfg:  cfg,
-		seed: seed,
-		m:    make(map[uint64][]graph.Path),
+		g:       g,
+		cfg:     cfg,
+		seed:    seed,
+		m:       make(map[uint64][]graph.Path),
+		pending: make(map[uint64]graph.Path),
 	}
 	db.computers.New = func() any {
 		return ksp.NewComputer(g, cfg, xrand.New(seed))
@@ -116,6 +126,13 @@ func (db *DB) computeWith(c *ksp.Computer, src, dst graph.NodeID) []graph.Path {
 	return c.Paths(src, dst)
 }
 
+// firstWith is computeWith cut to the set's first path, under the same
+// per-pair reseed, so it equals computeWith(c, src, dst)[0].
+func (db *DB) firstWith(c *ksp.Computer, src, dst graph.NodeID) graph.Path {
+	c.Reseed(db.seed, pairKey(src, dst))
+	return c.First(src, dst)
+}
+
 // Graph returns the graph the DB routes on.
 func (db *DB) Graph() *graph.Graph { return db.g }
 
@@ -135,13 +152,14 @@ func (db *DB) K() int { return db.cfg.K }
 func (db *DB) NumPairs() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.st.numPairs() + len(db.m)
+	return db.st.numPairs() + len(db.m) + len(db.pending)
 }
 
 // Fallbacks returns the number of pairs that needed the edge-disjoint
 // top-up fallback so far (the packed build's count plus lazy fills).
+// Pending pairs are filled first, so they count too.
 func (db *DB) Fallbacks() int {
-	db.mu.RLock()
+	db.rlockFilled()
 	defer db.mu.RUnlock()
 	total := db.fallbacks
 	if db.st != nil {
@@ -182,10 +200,84 @@ func (db *DB) Paths(src, dst graph.NodeID) []graph.Path {
 		ps = prev // another goroutine won the race; results are identical anyway
 	} else {
 		db.m[key] = ps
+		delete(db.pending, key)
 		db.fallbacks += extra
 	}
 	db.mu.Unlock()
 	return ps
+}
+
+// First returns the first (shortest) path of the pair's set: equal to
+// Paths(src, dst)[0], nil for self pairs and unreachable pairs. A stored
+// pair costs what Paths costs. On a miss it runs only the selector's
+// first shortest-path search, under the same per-pair reseed, and records
+// the pair as pending rather than computing the other k-1 paths; the
+// whole set is filled when something reads it. Vanilla UGAL and SP read
+// only first paths, so a lazy DB that serves them and is never written
+// never runs a full selector. The returned path is shared and must not be
+// modified.
+func (db *DB) First(src, dst graph.NodeID) graph.Path {
+	if src == dst {
+		return nil
+	}
+	key := pairKey(src, dst)
+	if db.st != nil {
+		if ps, ok := db.st.paths(key); ok {
+			return firstOf(ps)
+		}
+	}
+	db.mu.RLock()
+	ps, ok := db.m[key]
+	p, pending := db.pending[key]
+	db.mu.RUnlock()
+	if ok {
+		return firstOf(ps)
+	}
+	if pending {
+		return p
+	}
+	c := db.computers.Get().(*ksp.Computer)
+	p = db.firstWith(c, src, dst)
+	db.computers.Put(c)
+
+	db.mu.Lock()
+	if ps, ok := db.m[key]; ok {
+		p = firstOf(ps) // another goroutine filled it meanwhile
+	} else if prev, ok := db.pending[key]; ok {
+		p = prev
+	} else {
+		db.pending[key] = p
+	}
+	db.mu.Unlock()
+	return p
+}
+
+func firstOf(ps []graph.Path) graph.Path {
+	if len(ps) == 0 {
+		return nil
+	}
+	return ps[0]
+}
+
+// rlockFilled fills every pending pair's whole set and returns with
+// db.mu read-locked and nothing pending, for the readers that walk or
+// count whole sets. The fills run unlocked (they are ordinary Paths
+// calls), so it retries if First adds a pair in between.
+func (db *DB) rlockFilled() {
+	for {
+		db.mu.RLock()
+		if len(db.pending) == 0 {
+			return
+		}
+		keys := make([]uint64, 0, len(db.pending))
+		for k := range db.pending {
+			keys = append(keys, k)
+		}
+		db.mu.RUnlock()
+		par.For(len(keys), 0, func(i int) {
+			db.Paths(graph.NodeID(keys[i]>>32), graph.NodeID(uint32(keys[i])))
+		})
+	}
 }
 
 // Typed lookup errors. Paths deliberately keeps its historical contract —
@@ -232,8 +324,13 @@ func (db *DB) Lookup(src, dst graph.NodeID) ([]graph.Path, error) {
 			}
 		}
 		db.mu.RLock()
-		defer db.mu.RUnlock()
 		ps, ok := db.m[key]
+		_, pending := db.pending[key]
+		db.mu.RUnlock()
+		if pending {
+			// Stored by First; its whole set is computed on this read.
+			return db.Paths(src, dst), true
+		}
 		return ps, ok
 	}()
 	if !ok {

@@ -20,15 +20,17 @@ const maxPathsPerPair = 1 << 16
 
 // forEachSorted calls fn for every stored pair in ascending
 // (src, dst) key order, merging the packed store with the lazy fills.
-// It holds the DB's read lock for the duration.
+// Pending pairs are filled first. It holds the DB's read lock for the
+// duration.
 func (db *DB) forEachSorted(fn func(key uint64, ps []graph.Path) error) error {
-	db.mu.RLock()
+	db.rlockFilled()
 	defer db.mu.RUnlock()
 	return db.forEachSortedLocked(fn)
 }
 
 // forEachSortedLocked is forEachSorted with db.mu already held (read or
-// write), for callers that need a stable view across several passes.
+// write) and nothing pending (see rlockFilled), for callers that need a
+// stable view across several passes.
 func (db *DB) forEachSortedLocked(fn func(key uint64, ps []graph.Path) error) error {
 	lazy := make([]uint64, 0, len(db.m))
 	for key := range db.m {

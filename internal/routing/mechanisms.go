@@ -38,11 +38,11 @@ func (spState) Choose(v *View, src, dst graph.NodeID, _ LoadEstimator, _ *xrand.
 		i := faults.FirstSet(mask)
 		return ps[i], i
 	}
-	ps := v.Candidates(src, dst)
-	if len(ps) == 0 {
+	p := v.First(src, dst)
+	if p == nil {
 		return nil, -1
 	}
-	return ps[0], 0
+	return p, 0
 }
 
 // --- Random -----------------------------------------------------------------
@@ -154,11 +154,12 @@ func (st ugalState) Choose(v *View, src, dst graph.NodeID, load LoadEstimator, r
 	if v.Degraded() {
 		return st.chooseDegraded(v, src, dst, load, rng)
 	}
-	ps := v.Candidates(src, dst)
-	if len(ps) == 0 {
+	// Only first paths are read: the minimal path and the shortest path
+	// of each Valiant leg, never the rest of a pair's candidate set.
+	minPath := v.First(src, dst)
+	if minPath == nil {
 		return nil, -1
 	}
-	minPath := ps[0]
 	// Random intermediate different from both endpoints.
 	mid := randomIntermediate(v.NumNodes, src, dst, rng)
 	a := firstPath(v, src, mid)
@@ -206,11 +207,11 @@ func randomIntermediate(n int, src, dst graph.NodeID, rng *xrand.RNG) graph.Node
 // firstPath is the shortest candidate of a pair, panicking on
 // unreachable pairs (the topologies here are connected by construction).
 func firstPath(v *View, src, dst graph.NodeID) graph.Path {
-	ps := v.Candidates(src, dst)
-	if len(ps) == 0 {
+	p := v.First(src, dst)
+	if p == nil {
 		panic("routing: no paths " + graph.Path{src, dst}.String())
 	}
-	return ps[0]
+	return p
 }
 
 // composePaths concatenates the two legs of a Valiant detour.

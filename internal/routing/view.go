@@ -11,6 +11,12 @@ type PathProvider interface {
 	Paths(s, d graph.NodeID) []graph.Path
 }
 
+// firstProvider is implemented by providers (paths.DB) that can return a
+// pair's first candidate without computing the whole set.
+type firstProvider interface {
+	First(s, d graph.NodeID) graph.Path
+}
+
 // View is what a mechanism sees of the network's path state: the
 // configured candidate sets, the live-candidate masks under the current
 // fault state, and the two topology-derived bounds mechanisms need
@@ -84,6 +90,22 @@ func (v *View) Degraded() bool { return v.Faults != nil && v.Faults.Active() }
 // unroutable and Choose returns nil.
 func (v *View) Candidates(src, dst graph.NodeID) []graph.Path {
 	return v.Provider.Paths(src, dst)
+}
+
+// First returns the pair's first (shortest) configured candidate,
+// ignoring faults, or nil when the pair is unroutable. It asks the
+// provider's First when it has one, which on a lazy paths.DB computes
+// one search instead of the pair's whole set, and otherwise takes
+// Candidates' first element; both give the same path.
+func (v *View) First(src, dst graph.NodeID) graph.Path {
+	if f, ok := v.Provider.(firstProvider); ok {
+		return f.First(src, dst)
+	}
+	ps := v.Provider.Paths(src, dst)
+	if len(ps) == 0 {
+		return nil
+	}
+	return ps[0]
 }
 
 // LiveCandidates returns the pair's routable candidates and liveness

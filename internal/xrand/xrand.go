@@ -19,7 +19,8 @@ import (
 // around *rand.Rand (PCG) adding split and sampling helpers. RNG is not safe
 // for concurrent use; use Split to derive independent per-goroutine streams.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	pcg *rand.PCG // r's source, kept so Reseed can reset it in place
 	// seed material retained so children can be derived deterministically.
 	hi, lo  uint64
 	nextKid uint64
@@ -32,7 +33,8 @@ func New(seed uint64) *RNG {
 
 // NewPair returns an RNG seeded from two 64-bit words.
 func NewPair(hi, lo uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
+	pcg := rand.NewPCG(hi, lo)
+	return &RNG{r: rand.New(pcg), pcg: pcg, hi: hi, lo: lo}
 }
 
 // Split derives a new, statistically independent RNG from this one. Children
@@ -48,9 +50,10 @@ func (g *RNG) Split() *RNG {
 // Reseed resets the generator to a fresh stream derived from the two seed
 // words, as if created by NewPair. It lets long-lived worker objects give
 // every work item (e.g. every source-destination pair) its own
-// schedule-independent stream.
+// schedule-independent stream. It reseeds the PCG source in place, so it
+// allocates nothing; *rand.Rand keeps no state beyond its source.
 func (g *RNG) Reseed(hi, lo uint64) {
-	g.r = rand.New(rand.NewPCG(hi, lo))
+	g.pcg.Seed(hi, lo)
 	g.hi, g.lo = hi, lo
 	g.nextKid = 0
 }

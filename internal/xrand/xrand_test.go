@@ -211,6 +211,43 @@ func TestReseed(t *testing.T) {
 	}
 }
 
+// TestReseedInPlace pins the in-place reseed: after Reseed every kind of
+// draw follows NewPair's stream, a handle shared before the reseed (as
+// graph.SPEngine shares its Computer's RNG) sees the new stream, and
+// Reseed allocates nothing.
+func TestReseedInPlace(t *testing.T) {
+	a := New(5)
+	shared := a
+	for i := 0; i < 3; i++ {
+		a.IntN(7)
+		a.Reseed(uint64(i)*11+1, uint64(i)*13+2)
+		b := NewPair(uint64(i)*11+1, uint64(i)*13+2)
+		for j := 0; j < 50; j++ {
+			if x, y := shared.IntN(1000), b.IntN(1000); x != y {
+				t.Fatalf("reseed %d draw %d: IntN %d, NewPair's %d", i, j, x, y)
+			}
+			if x, y := shared.Float64(), b.Float64(); x != y {
+				t.Fatalf("reseed %d draw %d: Float64 %v, NewPair's %v", i, j, x, y)
+			}
+		}
+		sa, sb := []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{0, 1, 2, 3, 4, 5, 6, 7}
+		ShuffleSlice(shared, sa)
+		ShuffleSlice(b, sb)
+		for j := range sa {
+			if sa[j] != sb[j] {
+				t.Fatalf("reseed %d: shuffle %v, NewPair's %v", i, sa, sb)
+			}
+		}
+	}
+	var hi uint64
+	if allocs := testing.AllocsPerRun(100, func() {
+		hi++
+		a.Reseed(hi, 7)
+	}); allocs != 0 {
+		t.Fatalf("Reseed allocates %v times per call, want 0", allocs)
+	}
+}
+
 func TestMix64(t *testing.T) {
 	seen := map[uint64]bool{}
 	for i := uint64(0); i < 1000; i++ {
